@@ -1,0 +1,17 @@
+//! Stamps the compiler version into the binary: host timings are only
+//! comparable between builds of the same toolchain.
+
+use std::process::Command;
+
+fn main() {
+    let rustc = std::env::var("RUSTC").unwrap_or_else(|_| "rustc".into());
+    let version = Command::new(rustc)
+        .arg("--version")
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
+        .unwrap_or_else(|| "unknown".into());
+    println!("cargo:rustc-env=PERFLEDGER_RUSTC={version}");
+    println!("cargo:rerun-if-changed=build.rs");
+}
