@@ -5,7 +5,7 @@
 //!
 //! * [`cpu`] — the sequential **forward** algorithm (the paper's baseline,
 //!   §II-B), the **edge-iterator** and **node-iterator** references, a
-//!   hashed forward variant, and a rayon-parallel forward counter;
+//!   hashed forward variant, and a thread-parallel forward counter;
 //! * [`gpu`] — the CUDA implementation (§III) on the [`tc_simt`] simulator:
 //!   the eight-step preprocessing pipeline, the `CountTriangles` kernel in
 //!   both the preliminary and the read-avoiding final form, every §III-D

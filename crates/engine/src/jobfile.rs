@@ -15,8 +15,9 @@
 //!   extension (`.bin` binary, `.metis`/`.graph` METIS, otherwise text).
 //! * `backend` (required) — a canonical [`Backend`] token; the same parser
 //!   `tcount --backend` uses.
-//! * `repeat` — expand the line into N jobs (default 1). Repeats of a GPU
-//!   job are exactly what the prepared-session cache amortizes.
+//! * `repeat` — expand the line into N jobs, 1 ≤ N ≤ [`MAX_REPEAT`]
+//!   (default 1). Repeats of a GPU job are exactly what the
+//!   prepared-session cache amortizes.
 //! * `timeout-ms` — modeled-time budget per job.
 //! * `profile` — `true`/`false`: attach a per-job profile report.
 //! * `scale` — `smoke`/`bench`/`large` suite scale for this line
@@ -35,6 +36,11 @@ use tc_graph::{io, EdgeArray};
 
 use crate::error::EngineError;
 use crate::Job;
+
+/// Largest `repeat` one jobfile line may ask for. Lines expand eagerly into
+/// jobs, so an unbounded count would hang the parser on allocation instead
+/// of failing with a typed error.
+pub const MAX_REPEAT: usize = 10_000;
 
 /// Parse a jobfile into jobs, generating/loading each distinct graph once.
 pub fn parse_jobfile(text: &str, default_scale: Scale) -> Result<Vec<Job>, EngineError> {
@@ -105,8 +111,10 @@ fn parse_line(line: &str) -> Result<LineSpec, String> {
                 repeat = value
                     .parse::<usize>()
                     .ok()
-                    .filter(|n| *n >= 1)
-                    .ok_or_else(|| format!("repeat must be a positive integer, got {value:?}"))?;
+                    .filter(|n| (1..=MAX_REPEAT).contains(n))
+                    .ok_or_else(|| {
+                        format!("repeat must be an integer in 1..={MAX_REPEAT}, got {value:?}")
+                    })?;
             }
             "timeout-ms" => {
                 let ms = value
@@ -207,6 +215,10 @@ graph=watts-strogatz backend=forward   # trailing comment
             ("graph=watts-strogatz backend=warp9", "unknown backend"),
             ("graph=watts-strogatz backend=forward repeat=0", "repeat"),
             (
+                "graph=watts-strogatz backend=forward repeat=99999999999",
+                "repeat must be an integer in 1..=10000",
+            ),
+            (
                 "graph=watts-strogatz backend=forward bogus=1",
                 "unknown key",
             ),
@@ -219,6 +231,23 @@ graph=watts-strogatz backend=forward   # trailing comment
             let msg = err.to_string();
             assert!(msg.contains("line 1"), "{msg}");
             assert!(msg.contains(needle), "{msg} missing {needle}");
+        }
+    }
+
+    #[test]
+    fn repeat_is_bounded_and_names_its_line() {
+        let ok = format!("graph=watts-strogatz backend=forward repeat={MAX_REPEAT}");
+        assert_eq!(parse_jobfile(&ok, Scale::Smoke).unwrap().len(), MAX_REPEAT);
+        let text = format!(
+            "graph=watts-strogatz backend=forward\n\
+             graph=watts-strogatz backend=forward repeat={}",
+            MAX_REPEAT + 1
+        );
+        match parse_jobfile(&text, Scale::Smoke) {
+            Err(EngineError::Jobfile(msg)) => {
+                assert!(msg.starts_with("line 2: repeat"), "{msg}");
+            }
+            other => panic!("expected a jobfile error, got {other:?}"),
         }
     }
 

@@ -35,7 +35,8 @@ pub struct DeviceConfig {
     pub tex_cache_bytes: u32,
     /// Texture-cache associativity (ways).
     pub tex_cache_ways: u32,
-    /// Device-wide L2 capacity in bytes (address-sliced per SM in the sim).
+    /// Device-wide L2 capacity in bytes (the sim gives each SM a private
+    /// `l2_cache_bytes / num_sms` slice that caches every address).
     /// Presets scale this down with the graph suite, like `memory_capacity`:
     /// the paper's working sets exceed the real L2 by the same factor the
     /// bench suite exceeds these values.

@@ -11,10 +11,10 @@
 use crate::arena::{Arena, DeviceBuffer, DeviceScalar};
 use crate::config::DeviceConfig;
 use crate::error::SimtError;
-use crate::executor::{simulate, simulate_traced, KernelStats, LaunchConfig};
+use crate::executor::{simulate, simulate_hooked, KernelStats, LaunchConfig};
 use crate::kernel::Kernel;
 use crate::profiler::{Counters, OpenSpan, ProfileReport, Span};
-use crate::sanitizer::{check_launch, Finding, Lint, SanitizerMode, SanitizerReport};
+use crate::sanitizer::{self, Finding, Lint, SanitizerMode, SanitizerReport, SmCheck};
 use crate::verifier::{self, Interval, VerifierFinding, VerifierReport};
 
 /// One entry of the device time log.
@@ -428,10 +428,10 @@ impl Device {
 
     /// Launch a kernel under cycle simulation; commits its stores and
     /// advances the clock by the simulated kernel time. With the sanitizer
-    /// on, the launch's lane accesses are recorded and checked (memcheck,
-    /// initcheck, racecheck, access-pattern lints) before the stores
-    /// commit; stores the shadow rejects are skipped so the run survives
-    /// to report them.
+    /// on, each SM checks its lane accesses as it issues them (memcheck,
+    /// initcheck), and the launch is racechecked and linted before the
+    /// stores commit; stores the shadow rejects are skipped so the run
+    /// survives to report them.
     pub fn launch<K: Kernel>(
         &mut self,
         label: &str,
@@ -467,36 +467,39 @@ impl Device {
                 self.launches_proven += 1;
             }
         }
-        if self.arena.sanitizer_mode().is_on() {
-            let (stats, writes, accesses) =
-                simulate_traced(&self.cfg, &self.arena, lc, kernel, true)?;
-            let phase = self.current_phase();
+        let mode = self.arena.sanitizer_mode();
+        if mode.is_on() {
             // A statically proven launch needs no dynamic race sweep in
-            // Check mode; Paranoid still sweeps (and cross-validates the
-            // contract against the observed trace below).
-            let skip_racecheck =
-                proven_race_free && self.arena.sanitizer_mode() == SanitizerMode::Check;
-            if skip_racecheck {
+            // Check mode; Paranoid still sweeps, and with the verifier on
+            // keeps the whole access log to cross-validate the contract
+            // against the observed trace below.
+            let racecheck = !(proven_race_free && mode == SanitizerMode::Check);
+            if !racecheck {
                 self.racechecks_skipped += 1;
             }
-            let (findings, lints) = check_launch(
-                self.arena.shadow().expect("sanitizer is on"),
-                &accesses,
-                &stats,
-                label,
-                &phase,
-                skip_racecheck,
-            );
-            self.findings.extend(findings);
-            self.lints.extend(lints);
-            if self.verifier && self.arena.sanitizer_mode() >= SanitizerMode::Paranoid {
-                if let Some(c) = contract.as_ref() {
-                    let total = lc.active_threads(self.cfg.warp_size);
-                    self.vfindings.extend(verifier::check_trace_containment(
-                        c, &accesses, lc, total, label, &phase,
-                    ));
-                }
+            let contained = contract
+                .as_ref()
+                .filter(|_| self.verifier && mode >= SanitizerMode::Paranoid);
+            let log = contained.is_some();
+            let view = self.arena.shadow().expect("sanitizer is on").view();
+            let (stats, writes, sms) = simulate_hooked(&self.cfg, &self.arena, lc, kernel, || {
+                SmCheck::new(view, racecheck && !log, log)
+            })?;
+            let phase = self.current_phase();
+            let checked = sanitizer::finish_launch(view, sms, &stats, label, &phase, racecheck);
+            if let Some(c) = contained {
+                let total = lc.active_threads(self.cfg.warp_size);
+                self.vfindings.extend(verifier::check_trace_containment(
+                    c,
+                    checked.logs.iter().flatten(),
+                    lc,
+                    total,
+                    label,
+                    &phase,
+                ));
             }
+            self.findings.extend(checked.findings);
+            self.lints.extend(checked.lints);
             for w in writes {
                 self.arena.commit_store(w.addr, w.bytes, w.value);
             }

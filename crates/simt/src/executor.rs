@@ -16,11 +16,13 @@
 //!   latency hiding that makes occupancy matter and is what the paper's
 //!   §III-D5 warp-size experiment manipulates.
 //!
-//! SMs share nothing but DRAM: the per-SM texture cache is private and the
-//! device L2 is address-sliced, so SMs simulate in parallel (tc-par scoped
-//! threads) and the kernel's time is the slowest SM's cycle count — then
-//! clamped from below by total DRAM traffic over peak DRAM bandwidth (a
-//! bandwidth-saturation model).
+//! SMs share no simulated state: each owns its texture cache and a private
+//! `l2_cache_bytes / num_sms` L2 slice that sees every address (not an
+//! address-partitioned shared L2), so SMs simulate in parallel on tc-par
+//! scoped threads. Per-SM DRAM byte counts are summed after the join. The
+//! kernel's time is the slowest SM's cycle count — then clamped from below
+//! by total DRAM traffic over peak DRAM bandwidth (a bandwidth-saturation
+//! model).
 
 use crate::arena::Arena;
 use crate::cache::{Cache, CacheStats};
@@ -138,6 +140,19 @@ pub struct KernelStats {
     pub shared_conflict_cycles: f64,
 }
 
+/// Observer of every lane memory access one SM issues, called in the SM's
+/// (deterministic) warp-schedule order from the SM's own thread. The
+/// sanitizer checks accesses through it; `()` observes nothing and
+/// compiles away.
+pub(crate) trait AccessHook: Send {
+    fn access(&mut self, a: Access);
+}
+
+impl AccessHook for () {
+    #[inline(always)]
+    fn access(&mut self, _: Access) {}
+}
+
 /// Simulate a kernel launch against an arena snapshot. Returns the stats and
 /// the buffered stores; the caller (the [`crate::Device`]) commits the
 /// stores and advances the device clock.
@@ -147,22 +162,19 @@ pub fn simulate<K: Kernel>(
     lc: LaunchConfig,
     kernel: &K,
 ) -> Result<(KernelStats, Vec<PendingWrite>), SimtError> {
-    let (stats, writes, _) = simulate_traced(cfg, arena, lc, kernel, false)?;
+    let (stats, writes, _) = simulate_hooked(cfg, arena, lc, kernel, || ())?;
     Ok((stats, writes))
 }
 
-/// [`simulate`], optionally recording every lane memory access for the
-/// sanitizer. The access log is deterministic: per-SM streams are merged
-/// in SM index order, and each SM's stream follows its (deterministic)
-/// warp schedule. With `trace` off, no accesses are recorded and the
-/// returned log is empty.
-pub(crate) fn simulate_traced<K: Kernel>(
+/// [`simulate`], with one [`AccessHook`] per SM made by `hook` and handed
+/// every access that SM issues. The hooks come back in SM index order.
+pub(crate) fn simulate_hooked<K: Kernel, H: AccessHook>(
     cfg: &DeviceConfig,
     arena: &Arena,
     lc: LaunchConfig,
     kernel: &K,
-    trace: bool,
-) -> Result<(KernelStats, Vec<PendingWrite>, Vec<Access>), SimtError> {
+    hook: impl Fn() -> H + Sync,
+) -> Result<(KernelStats, Vec<PendingWrite>, Vec<H>), SimtError> {
     lc.validate(cfg)?;
     let warps_per_block = lc.threads_per_block / cfg.warp_size;
     let lanes_per_warp = (cfg.warp_size / lc.warp_split) as usize;
@@ -177,7 +189,7 @@ pub(crate) fn simulate_traced<K: Kernel>(
     }
 
     let mem = MemView::new(arena.bytes());
-    let results: Vec<SmResult> = tc_par::map_slice(&sm_blocks, |blocks| {
+    let results: Vec<SmResult<H>> = tc_par::map_slice(&sm_blocks, |blocks| {
         simulate_sm(
             cfg,
             mem,
@@ -187,13 +199,13 @@ pub(crate) fn simulate_traced<K: Kernel>(
             lanes_per_warp,
             total_active,
             resident_blocks as usize,
-            trace,
+            hook(),
         )
     });
 
     let mut stats = KernelStats::default();
     let mut writes = Vec::new();
-    let mut accesses = Vec::new();
+    let mut hooks = Vec::with_capacity(results.len());
     for r in results {
         stats.sm_cycles = stats.sm_cycles.max(r.end_cycle);
         stats.lane_steps += r.lane_steps;
@@ -211,7 +223,7 @@ pub(crate) fn simulate_traced<K: Kernel>(
         stats.tex.merge(r.tex);
         stats.l2.merge(r.l2);
         writes.extend(r.writes);
-        accesses.extend(r.accesses);
+        hooks.push(r.hook);
     }
     stats.dram_bytes = stats.dram_read_bytes + stats.dram_write_bytes;
     // Achieved occupancy of the resident set: blocks actually co-resident
@@ -223,10 +235,10 @@ pub(crate) fn simulate_traced<K: Kernel>(
     let dram_time = stats.dram_bytes as f64 / (cfg.dram_bandwidth_gbs * 1e9);
     stats.time_s = pipeline_time.max(dram_time) + cfg.launch_overhead_us * 1e-6;
     stats.achieved_bandwidth_gbs = stats.dram_bytes as f64 / stats.time_s / 1e9;
-    Ok((stats, writes, accesses))
+    Ok((stats, writes, hooks))
 }
 
-struct SmResult {
+struct SmResult<H> {
     end_cycle: f64,
     lane_steps: u64,
     warp_steps: u64,
@@ -241,8 +253,7 @@ struct SmResult {
     tex: CacheStats,
     l2: CacheStats,
     writes: Vec<PendingWrite>,
-    /// Lane-attributed access log (empty unless tracing).
-    accesses: Vec<Access>,
+    hook: H,
 }
 
 struct WarpSim<L> {
@@ -256,7 +267,7 @@ struct WarpSim<L> {
 }
 
 #[allow(clippy::too_many_arguments)]
-fn simulate_sm<K: Kernel>(
+fn simulate_sm<K: Kernel, H: AccessHook>(
     cfg: &DeviceConfig,
     mem: MemView<'_>,
     kernel: &K,
@@ -265,8 +276,8 @@ fn simulate_sm<K: Kernel>(
     lanes_per_warp: usize,
     total_active: usize,
     resident_blocks: usize,
-    trace: bool,
-) -> SmResult {
+    mut hook: H,
+) -> SmResult<H> {
     let mut tex = Cache::new(cfg.tex_cache_bytes, cfg.tex_cache_ways, cfg.line_bytes);
     let l2_slice = (cfg.l2_cache_bytes / cfg.num_sms).max(cfg.line_bytes * cfg.l2_cache_ways);
     let mut l2 = Cache::new(l2_slice, cfg.l2_cache_ways, cfg.line_bytes);
@@ -315,9 +326,7 @@ fn simulate_sm<K: Kernel>(
     let mut shared_accesses = 0u64;
     let mut shared_conflict_cycles = 0f64;
     let mut writes: Vec<PendingWrite> = Vec::new();
-    let mut accesses: Vec<Access> = Vec::new();
 
-    let mut effects: Vec<Effect> = Vec::with_capacity(lanes_per_warp);
     let mut reads_cached: Vec<(u64, u32)> = Vec::with_capacity(lanes_per_warp);
     let mut reads_uncached: Vec<(u64, u32)> = Vec::with_capacity(lanes_per_warp);
     let mut lines: Vec<u64> = Vec::with_capacity(lanes_per_warp * 2);
@@ -341,7 +350,6 @@ fn simulate_sm<K: Kernel>(
         warp_steps += 1;
 
         // Lockstep: step every active lane once.
-        effects.clear();
         reads_cached.clear();
         reads_uncached.clear();
         shared_words.clear();
@@ -363,16 +371,14 @@ fn simulate_sm<K: Kernel>(
                         bytes,
                         cached,
                     } => {
-                        if trace {
-                            accesses.push(Access {
-                                lane: (w.tid_base + li) as u32,
-                                addr,
-                                bytes,
-                                write: false,
-                                scratch: false,
-                                spilled: false,
-                            });
-                        }
+                        hook.access(Access {
+                            lane: (w.tid_base + li) as u32,
+                            addr,
+                            bytes,
+                            write: false,
+                            scratch: false,
+                            spilled: false,
+                        });
                         if cached {
                             reads_cached.push((addr, bytes));
                         } else {
@@ -380,16 +386,14 @@ fn simulate_sm<K: Kernel>(
                         }
                     }
                     Effect::Write { addr, bytes, value } => {
-                        if trace {
-                            accesses.push(Access {
-                                lane: (w.tid_base + li) as u32,
-                                addr,
-                                bytes,
-                                write: true,
-                                scratch: false,
-                                spilled: false,
-                            });
-                        }
+                        hook.access(Access {
+                            lane: (w.tid_base + li) as u32,
+                            addr,
+                            bytes,
+                            write: true,
+                            scratch: false,
+                            spilled: false,
+                        });
                         writes.push(PendingWrite { addr, bytes, value });
                         write_txns += 1;
                         dram_write_bytes += bytes as u64; // write-through
@@ -399,16 +403,14 @@ fn simulate_sm<K: Kernel>(
                         bytes,
                         spilled,
                     } => {
-                        if trace {
-                            accesses.push(Access {
-                                lane: (w.tid_base + li) as u32,
-                                addr,
-                                bytes,
-                                write: false,
-                                scratch: true,
-                                spilled,
-                            });
-                        }
+                        hook.access(Access {
+                            lane: (w.tid_base + li) as u32,
+                            addr,
+                            bytes,
+                            write: false,
+                            scratch: true,
+                            spilled,
+                        });
                         if spilled {
                             // Table overflowed shared memory: the chain walk
                             // reads global scratch through L2/DRAM.
@@ -424,16 +426,14 @@ fn simulate_sm<K: Kernel>(
                         value,
                         spilled,
                     } => {
-                        if trace {
-                            accesses.push(Access {
-                                lane: (w.tid_base + li) as u32,
-                                addr,
-                                bytes,
-                                write: true,
-                                scratch: true,
-                                spilled,
-                            });
-                        }
+                        hook.access(Access {
+                            lane: (w.tid_base + li) as u32,
+                            addr,
+                            bytes,
+                            write: true,
+                            scratch: true,
+                            spilled,
+                        });
                         writes.push(PendingWrite { addr, bytes, value });
                         if spilled {
                             write_txns += 1;
@@ -542,7 +542,7 @@ fn simulate_sm<K: Kernel>(
         tex: tex.stats(),
         l2: l2.stats(),
         writes,
-        accesses,
+        hook,
     }
 }
 

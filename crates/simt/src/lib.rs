@@ -10,7 +10,7 @@
 //!   hiding across resident warps ([`executor`]).
 //! * **Memory**: a device-wide arena with capacity accounting ([`arena`] —
 //!   §III-D6's "graph too large to fit" path), per-SM read-only/texture
-//!   caches and address-sliced L2 ([`cache`] — §III-D4), warp-level
+//!   caches and private per-SM L2 slices ([`cache`] — §III-D4), warp-level
 //!   coalescing into 32 B transactions ([`coalesce`]), DRAM bandwidth
 //!   accounting (Table II), and a PCIe transfer model (the paper measures
 //!   wall time from the host-to-device copy).

@@ -3,7 +3,7 @@
 //! The preprocessing phase is built from `thrust::reduce`, `thrust::sort`,
 //! `thrust::remove_if`, and simple transform kernels. These are streaming,
 //! memory-bandwidth-bound passes, so this module executes them
-//! *functionally* on the arena (with rayon where it pays) and charges
+//! *functionally* on the arena (with tc-par threads where it pays) and charges
 //! *analytic* time: `bytes_moved / (stream_efficiency × peak_bandwidth) +
 //! launch_overhead` per pass. The cycle-level simulator is reserved for the
 //! counting kernel, where the microarchitectural effects the paper studies

@@ -15,13 +15,18 @@
 //!   host copy or committed store ever wrote. Kernel stores are buffered
 //!   until the launch retires, so kernel reads are checked against the
 //!   *pre-launch* bitmap — the memory they actually observe;
-//! * **racecheck** — the executor's per-launch access log is swept for
-//!   overlapping same-launch accesses from different lanes (write-write and
+//! * **racecheck** — a launch's global stores are swept for overlapping
+//!   same-launch accesses from different lanes (write-write and
 //!   read-write, with no intervening kernel boundary);
-//! * **lints** — a static pass over the recorded access stream flags
+//! * **lints** — per-launch read/store counts and warp statistics flag
 //!   uncoalesced hot loops and divergence-heavy launches. Lints are
 //!   advisories, not findings: the paper's own merge kernel is legitimately
 //!   divergence-prone, so lints never fail a clean-suite gate.
+//!
+//! Kernel accesses are checked as the executor issues them: each SM feeds
+//! its own `SmCheck` against a read-only `ShadowView` of the
+//! pre-launch shadow, and `finish_launch` concatenates the per-SM
+//! results in SM index order, so reports do not depend on thread timing.
 //!
 //! Findings accumulate into a deterministic [`SanitizerReport`]
 //! (hand-rolled JSON, same style as [`crate::profiler::ProfileReport`]):
@@ -32,7 +37,6 @@
 //! byte-identical to a build without the sanitizer.
 
 use std::cell::RefCell;
-use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::executor::KernelStats;
@@ -84,8 +88,8 @@ impl fmt::Display for SanitizerMode {
 }
 
 /// The shared access record lives in [`crate::verifier`]: the sanitizer's
-/// dynamic checks and the verifier's static-containment check consume the
-/// same executor-recorded stream.
+/// dynamic checks and the verifier's trace-containment check consume the
+/// same executor-issued stream.
 pub use crate::verifier::Access;
 
 /// The kind of a sanitizer finding.
@@ -338,13 +342,15 @@ struct ShadowAlloc {
 
 /// Shadow memory over an [`crate::arena::Arena`]: the allocation map plus
 /// the per-byte init bitmap, and a queue of raw violations produced by
-/// host-side ops (kernel launches are checked in bulk by
-/// [`check_launch`]). The queue sits behind a `RefCell` because reads
+/// host-side ops (kernel launches are checked per SM through a
+/// [`ShadowView`]). The queue sits behind a `RefCell` because reads
 /// (`read_slice`/`read_at`) take `&Arena`.
 #[derive(Debug)]
 pub(crate) struct Shadow {
     mode: SanitizerMode,
-    allocs: BTreeMap<u64, ShadowAlloc>,
+    /// Sorted by address. The arena bump-allocates, so new records land at
+    /// the end.
+    allocs: Vec<ShadowAlloc>,
     /// One bit per arena byte: 1 = written at least once.
     init: Vec<u64>,
     pending: RefCell<Vec<RawViolation>>,
@@ -354,7 +360,7 @@ impl Shadow {
     pub(crate) fn new(mode: SanitizerMode) -> Self {
         Shadow {
             mode,
-            allocs: BTreeMap::new(),
+            allocs: Vec::new(),
             init: Vec::new(),
             pending: RefCell::new(Vec::new()),
         }
@@ -365,19 +371,35 @@ impl Shadow {
         self.mode
     }
 
+    /// The read-only view the access checks run against.
+    #[inline]
+    pub(crate) fn view(&self) -> ShadowView<'_> {
+        ShadowView {
+            mode: self.mode,
+            allocs: &self.allocs,
+            init: &self.init,
+        }
+    }
+
+    fn push_alloc(&mut self, addr: u64, bytes: u64) {
+        // `locate` binary-searches the map, so it must stay sorted.
+        assert!(
+            self.allocs.last().is_none_or(|a| a.addr < addr),
+            "the arena hands out ascending addresses between rewinds"
+        );
+        self.allocs.push(ShadowAlloc {
+            addr,
+            bytes,
+            live: true,
+        });
+    }
+
     /// Record a fresh allocation spanning `[addr, addr + span)` with
     /// `bytes` logical bytes, marking the whole span uninitialized.
     pub(crate) fn on_alloc(&mut self, addr: u64, bytes: u64, span: u64) {
         self.ensure_bitmap(addr + span);
         set_bit_range(&mut self.init, addr, addr + span, false);
-        self.allocs.insert(
-            addr,
-            ShadowAlloc {
-                addr,
-                bytes,
-                live: true,
-            },
-        );
+        self.push_alloc(addr, bytes);
     }
 
     /// Record an allocation that predates the sanitizer being switched on:
@@ -385,19 +407,12 @@ impl Shadow {
     pub(crate) fn on_adopt(&mut self, addr: u64, bytes: u64, span: u64) {
         self.ensure_bitmap(addr + span);
         set_bit_range(&mut self.init, addr, addr + bytes, true);
-        self.allocs.insert(
-            addr,
-            ShadowAlloc {
-                addr,
-                bytes,
-                live: true,
-            },
-        );
+        self.push_alloc(addr, bytes);
     }
 
     pub(crate) fn on_free(&mut self, addr: u64) {
-        if let Some(a) = self.allocs.get_mut(&addr) {
-            a.live = false;
+        if let Ok(i) = self.allocs.binary_search_by_key(&addr, |a| a.addr) {
+            self.allocs[i].live = false;
         }
     }
 
@@ -422,7 +437,7 @@ impl Shadow {
     /// `write_at` / poke).
     pub(crate) fn host_write(&mut self, addr: u64, bytes: u64) {
         let mut out = Vec::new();
-        self.check_write_into(addr, bytes, None, &mut out);
+        self.view().check_write_into(addr, bytes, None, &mut out);
         self.pending.get_mut().extend(out);
         self.mark_init(addr, bytes);
     }
@@ -431,7 +446,7 @@ impl Shadow {
     /// `read_at` / peek).
     pub(crate) fn host_read(&self, addr: u64, bytes: u64) {
         let mut out = Vec::new();
-        self.check_read_into(addr, bytes, None, &mut out);
+        self.view().check_read_into(addr, bytes, None, &mut out);
         if !out.is_empty() {
             self.pending.borrow_mut().extend(out);
         }
@@ -450,7 +465,7 @@ impl Shadow {
     /// Whether a store of `bytes` at `addr` lies fully within the logical
     /// bytes of a live allocation (commit admission).
     pub(crate) fn write_allowed(&self, addr: u64, bytes: u64) -> bool {
-        match self.locate(addr) {
+        match self.view().locate(addr) {
             Some(a) if a.live => addr + bytes <= a.addr + a.bytes,
             _ => false,
         }
@@ -469,14 +484,29 @@ impl Shadow {
             self.init.resize(words, 0);
         }
     }
+}
 
+/// A read-only borrow of the shadow's allocation map and init bitmap.
+/// Both stay frozen while a kernel runs (its stores commit only after it
+/// retires), so every SM checks its accesses against the same view from
+/// its own thread.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct ShadowView<'a> {
+    mode: SanitizerMode,
+    allocs: &'a [ShadowAlloc],
+    init: &'a [u64],
+}
+
+impl<'a> ShadowView<'a> {
     /// The allocation record containing or nearest below `addr`.
-    fn locate(&self, addr: u64) -> Option<&ShadowAlloc> {
-        self.allocs.range(..=addr).next_back().map(|(_, a)| a)
+    #[inline]
+    fn locate(&self, addr: u64) -> Option<&'a ShadowAlloc> {
+        let i = self.allocs.partition_point(|a| a.addr <= addr);
+        i.checked_sub(1).map(|i| &self.allocs[i])
     }
 
     fn any_uninit(&self, from: u64, to: u64) -> bool {
-        !all_bits_set(&self.init, from, to)
+        !all_bits_set(self.init, from, to)
     }
 
     /// Classify a read of `bytes` at `addr` and append any violations.
@@ -656,122 +686,159 @@ fn all_bits_set(bits: &[u64], from: u64, to: u64) -> bool {
     tb == 0 || bits[tw] & tail == tail
 }
 
-/// Largest kernel read effect width in bytes (the chunk-scan kernel's
-/// `int4`-style load is 16; 64 leaves headroom). Bounds the racecheck
-/// overlap window.
-const MAX_ACCESS_BYTES: u64 = 64;
+/// A global (non-scratch) access interval kept for the racecheck. The
+/// field order makes the derived ordering `(addr, end, lane)`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+struct Span {
+    addr: u64,
+    bytes: u32,
+    lane: u32,
+}
 
-/// Check one retired launch: memcheck + initcheck every recorded access
-/// against the pre-launch shadow, racecheck the access log, and compute
-/// the access-pattern lints. Returns attributed findings and lints. The
-/// caller commits the buffered stores afterwards (via
-/// [`crate::arena::Arena::commit_store`], which marks init and skips
-/// stores the shadow rejects). `skip_racecheck` elides *only* the WW/RW
-/// race sweeps — the static verifier sets it for launches whose contract
-/// already proves race-freedom; memcheck, initcheck, and the lints still
-/// run, so findings on clean launches are byte-identical either way.
-pub(crate) fn check_launch(
-    shadow: &Shadow,
-    accesses: &[Access],
-    stats: &KernelStats,
-    label: &str,
-    phase: &str,
-    skip_racecheck: bool,
-) -> (Vec<Finding>, Vec<Lint>) {
-    let mut raw: Vec<RawViolation> = Vec::new();
-    let mut reads: Vec<&Access> = Vec::new();
-    let mut writes: Vec<&Access> = Vec::new();
-    for a in accesses {
+impl Span {
+    #[inline]
+    fn of(a: &Access) -> Span {
+        Span {
+            addr: a.addr,
+            bytes: a.bytes,
+            lane: a.lane,
+        }
+    }
+
+    #[inline]
+    fn end(self) -> u64 {
+        self.addr + self.bytes as u64
+    }
+}
+
+/// One SM's share of a launch check, fed access by access as the executor
+/// issues them ([`crate::executor::AccessHook`]). Memcheck and initcheck
+/// run on the spot against the frozen pre-launch [`ShadowView`]; the lints
+/// need only counts; the racecheck needs the global intervals, kept only
+/// when it will run. The full access log is kept only for a Paranoid
+/// verifier's contract-containment check, and the race intervals are then
+/// derived from it.
+pub(crate) struct SmCheck<'a> {
+    view: ShadowView<'a>,
+    raw: Vec<RawViolation>,
+    /// Global (non-scratch) reads and stores issued — the lint sample sizes.
+    reads: u64,
+    writes: u64,
+    race_reads: Vec<Span>,
+    race_writes: Vec<Span>,
+    keep_spans: bool,
+    log: Option<Vec<Access>>,
+}
+
+impl<'a> SmCheck<'a> {
+    /// `race_spans`: keep the global intervals for the racecheck.
+    /// `log`: keep every access, in issue order.
+    pub(crate) fn new(view: ShadowView<'a>, race_spans: bool, log: bool) -> Self {
+        SmCheck {
+            view,
+            raw: Vec::new(),
+            reads: 0,
+            writes: 0,
+            race_reads: Vec::new(),
+            race_writes: Vec::new(),
+            keep_spans: race_spans,
+            log: log.then(Vec::new),
+        }
+    }
+
+    /// This SM's global stores (`write`) or reads, as racecheck intervals:
+    /// the kept spans, or the log's global accesses when it kept a log.
+    fn race_spans(&self, write: bool) -> impl Iterator<Item = Span> + '_ {
+        let kept = if write {
+            &self.race_writes
+        } else {
+            &self.race_reads
+        };
+        let logged = self.log.iter().flatten();
+        kept.iter().copied().chain(
+            logged
+                .filter(move |a| a.write == write && !a.scratch)
+                .map(Span::of),
+        )
+    }
+}
+
+impl crate::executor::AccessHook for SmCheck<'_> {
+    #[inline]
+    fn access(&mut self, a: Access) {
+        let (bytes, lane) = (a.bytes as u64, Some(a.lane));
         if a.scratch {
             // Shared-memory-modeled scratch accesses: memcheck bounds only.
-            // They stay out of the racecheck interval lists and the lint
+            // They stay out of the racecheck intervals and the lint
             // denominators — the kernel synchronizes its table accesses
             // (build barrier + warp-synchronous probes), and the coalescing
             // lint's transaction arithmetic only describes global traffic.
             if a.write {
-                shadow.check_write_into(a.addr, a.bytes as u64, Some(a.lane), &mut raw);
+                self.view
+                    .check_write_into(a.addr, bytes, lane, &mut self.raw);
             } else {
-                shadow.check_read_bounds_into(a.addr, a.bytes as u64, Some(a.lane), &mut raw);
+                self.view
+                    .check_read_bounds_into(a.addr, bytes, lane, &mut self.raw);
             }
         } else if a.write {
-            shadow.check_write_into(a.addr, a.bytes as u64, Some(a.lane), &mut raw);
-            writes.push(a);
+            self.view
+                .check_write_into(a.addr, bytes, lane, &mut self.raw);
+            self.writes += 1;
+            if self.keep_spans {
+                self.race_writes.push(Span::of(&a));
+            }
         } else {
-            shadow.check_read_into(a.addr, a.bytes as u64, Some(a.lane), &mut raw);
-            reads.push(a);
+            self.view
+                .check_read_into(a.addr, bytes, lane, &mut self.raw);
+            self.reads += 1;
+            if self.keep_spans {
+                self.race_reads.push(Span::of(&a));
+            }
+        }
+        if let Some(log) = self.log.as_mut() {
+            log.push(a);
         }
     }
+}
 
-    // --- racecheck: write-write ---
-    // Sort the store intervals and sweep maximal overlapping runs; a run
-    // touched by more than one lane is one conflict (the paper's kernels
-    // write only lane-private slots, so any overlap is a bug). Skipped
-    // wholesale when the static verifier already proved race-freedom.
-    let mut ws: Vec<(u64, u64, u32)> = if skip_racecheck {
-        Vec::new()
-    } else {
-        writes
-            .iter()
-            .map(|a| (a.addr, a.addr + a.bytes as u64, a.lane))
-            .collect()
-    };
-    ws.sort_unstable();
-    let mut i = 0;
-    while i < ws.len() {
-        let (run_addr, mut run_end, first_lane) = ws[i];
-        let mut other_lane: Option<u32> = None;
-        let mut j = i + 1;
-        while j < ws.len() && ws[j].0 < run_end {
-            run_end = run_end.max(ws[j].1);
-            if ws[j].2 != first_lane && other_lane.is_none_or(|l| ws[j].2 < l) {
-                other_lane = Some(ws[j].2);
-            }
-            j += 1;
-        }
-        if let Some(other) = other_lane {
-            raw.push(RawViolation {
-                kind: FindingKind::WriteWriteRace,
-                addr: run_addr,
-                bytes: (run_end - run_addr).min(u32::MAX as u64) as u32,
-                buffer: shadow.locate(run_addr).map(|a| a.addr),
-                lane: Some(first_lane.min(other)),
-            });
-        }
-        i = j;
+/// A retired launch's attributed findings and lints, plus the per-SM
+/// access logs (empty unless requested).
+pub(crate) struct LaunchCheck {
+    pub(crate) findings: Vec<Finding>,
+    pub(crate) lints: Vec<Lint>,
+    pub(crate) logs: Vec<Vec<Access>>,
+}
+
+/// Finish one retired launch from its per-SM checks (in SM index order):
+/// concatenate the memcheck/initcheck violations, racecheck the global
+/// intervals, and compute the access-pattern lints. The caller commits the
+/// buffered stores afterwards (via [`crate::arena::Arena::commit_store`],
+/// which marks init and skips stores the shadow rejects). `racecheck`
+/// false elides *only* the WW/RW race sweeps — the static verifier clears
+/// it for launches whose contract already proves race-freedom; memcheck,
+/// initcheck, and the lints still run, so findings on clean launches are
+/// byte-identical either way.
+pub(crate) fn finish_launch(
+    view: ShadowView<'_>,
+    sms: Vec<SmCheck<'_>>,
+    stats: &KernelStats,
+    label: &str,
+    phase: &str,
+    racecheck: bool,
+) -> LaunchCheck {
+    let mut raw: Vec<RawViolation> = Vec::new();
+    let (mut reads, mut writes) = (0u64, 0u64);
+    for sm in &sms {
+        raw.extend_from_slice(&sm.raw);
+        reads += sm.reads;
+        writes += sm.writes;
     }
-
-    // --- racecheck: read-write ---
-    // For each store, find reads from other lanes overlapping it. Reads
-    // are bounded-width, so only a bounded window of the sorted read list
-    // can overlap; one finding per store suffices. (`ws` is empty when
-    // the race sweeps are skipped, so this loop no-ops then.)
-    let mut rs: Vec<(u64, u64, u32)> = if ws.is_empty() {
-        Vec::new()
-    } else {
-        reads
-            .iter()
-            .map(|a| (a.addr, a.addr + a.bytes as u64, a.lane))
-            .collect()
-    };
-    rs.sort_unstable();
-    for &(waddr, wend, wlane) in &ws {
-        let lo = waddr.saturating_sub(MAX_ACCESS_BYTES);
-        let start = rs.partition_point(|r| r.0 < lo);
-        for &(raddr, rend, rlane) in &rs[start..] {
-            if raddr >= wend {
-                break;
-            }
-            if rend > waddr && rlane != wlane {
-                raw.push(RawViolation {
-                    kind: FindingKind::ReadWriteRace,
-                    addr: waddr.max(raddr),
-                    bytes: (wend.min(rend) - waddr.max(raddr)) as u32,
-                    buffer: shadow.locate(waddr).map(|a| a.addr),
-                    lane: Some(rlane),
-                });
-                break;
-            }
-        }
+    if racecheck {
+        let mut stores: Vec<Span> = sms.iter().flat_map(|sm| sm.race_spans(true)).collect();
+        stores.sort_unstable();
+        write_write_races(view, &stores, &mut raw);
+        let reads = sms.iter().flat_map(|sm| sm.race_spans(false));
+        read_write_races(view, &stores, reads, &mut raw);
     }
 
     let findings = raw
@@ -781,15 +848,14 @@ pub(crate) fn check_launch(
 
     // --- access-pattern lints (advisories, not findings) ---
     let mut lints = Vec::new();
-    let read_count = reads.len() as u64;
-    let read_txns = stats.transactions.saturating_sub(writes.len() as u64);
-    if read_count >= 2048 && read_txns * 2 > read_count {
+    let read_txns = stats.transactions.saturating_sub(writes);
+    if reads >= 2048 && read_txns * 2 > reads {
         lints.push(Lint {
             kind: LintKind::Uncoalesced,
             kernel: label.to_string(),
             phase: phase.to_string(),
-            ratio: read_txns as f64 / read_count as f64,
-            samples: read_count,
+            ratio: read_txns as f64 / reads as f64,
+            samples: reads,
         });
     }
     if stats.warp_steps >= 256 && stats.divergent_steps * 10 > stats.warp_steps * 3 {
@@ -801,13 +867,102 @@ pub(crate) fn check_launch(
             samples: stats.warp_steps,
         });
     }
-    (findings, lints)
+    let logs = sms.into_iter().filter_map(|sm| sm.log).collect();
+    LaunchCheck {
+        findings,
+        lints,
+        logs,
+    }
 }
 
-/// Seeded-bug self-test: four intentionally broken kernels — an OOB read,
-/// an uninitialized read, a write-write race, and a hash-table bucket
-/// probe past its shared scratch window — each of which the sanitizer must
-/// detect. CI runs this (`tcount sanitize-selftest`) to prove the checks
+/// Write-write racecheck over the sorted stores: sweep maximal overlapping
+/// runs; a run touched by more than one lane is one conflict (the paper's
+/// kernels write only lane-private slots, so any overlap is a bug).
+fn write_write_races(view: ShadowView<'_>, stores: &[Span], raw: &mut Vec<RawViolation>) {
+    let mut i = 0;
+    while i < stores.len() {
+        let Span {
+            addr: run_addr,
+            lane: first_lane,
+            ..
+        } = stores[i];
+        let mut run_end = stores[i].end();
+        let mut other_lane: Option<u32> = None;
+        let mut j = i + 1;
+        while j < stores.len() && stores[j].addr < run_end {
+            run_end = run_end.max(stores[j].end());
+            let lane = stores[j].lane;
+            if lane != first_lane && other_lane.is_none_or(|l| lane < l) {
+                other_lane = Some(lane);
+            }
+            j += 1;
+        }
+        if let Some(other) = other_lane {
+            raw.push(RawViolation {
+                kind: FindingKind::WriteWriteRace,
+                addr: run_addr,
+                bytes: (run_end - run_addr).min(u32::MAX as u64) as u32,
+                buffer: view.locate(run_addr).map(|a| a.addr),
+                lane: Some(first_lane.min(other)),
+            });
+        }
+        i = j;
+    }
+}
+
+/// Read-write racecheck: one finding per sorted store that some other
+/// lane's read overlaps, naming the least such read by `(addr, end,
+/// lane)`. Stores are few, so each read is tested against the stores' hull
+/// and, when inside it, binary-searched into the stores it can overlap;
+/// the reads themselves are never sorted.
+fn read_write_races(
+    view: ShadowView<'_>,
+    stores: &[Span],
+    reads: impl Iterator<Item = Span>,
+    raw: &mut Vec<RawViolation>,
+) {
+    let Some(first) = stores.first() else {
+        return;
+    };
+    let hull = (
+        first.addr,
+        stores.iter().map(|s| s.end()).max().unwrap_or(0),
+    );
+    let widest = stores.iter().map(|s| s.bytes as u64).max().unwrap_or(0);
+    let mut least: Vec<Option<Span>> = vec![None; stores.len()];
+    for r in reads {
+        let (raddr, rend) = (r.addr, r.end());
+        if rend <= hull.0 || raddr >= hull.1 {
+            continue;
+        }
+        // Overlap needs `s.addr < rend` and `s.end() > raddr`; no store
+        // starting at or before `raddr - widest` can reach past `raddr`.
+        let from = stores.partition_point(|s| s.addr + widest <= raddr);
+        let to = stores.partition_point(|s| s.addr < rend);
+        for (s, l) in stores[from..to].iter().zip(&mut least[from..to]) {
+            if s.end() > raddr && s.lane != r.lane && l.is_none_or(|l| r < l) {
+                *l = Some(r);
+            }
+        }
+    }
+    for (s, l) in stores.iter().zip(least) {
+        if let Some(r) = l {
+            let lo = s.addr.max(r.addr);
+            raw.push(RawViolation {
+                kind: FindingKind::ReadWriteRace,
+                addr: lo,
+                bytes: (s.end().min(r.end()) - lo) as u32,
+                buffer: view.locate(s.addr).map(|a| a.addr),
+                lane: Some(r.lane),
+            });
+        }
+    }
+}
+
+/// Seeded-bug self-test: five intentionally broken kernels — an OOB read,
+/// an uninitialized read, a write-write race, a read-write race, and a
+/// hash-table bucket probe past its shared scratch window — each of which
+/// the sanitizer must detect. CI runs this (`tcount sanitize-selftest`) to prove the checks
 /// are alive, the mirror image of proving the real suite clean.
 pub mod selftest {
     use super::{FindingKind, SanitizerMode, SanitizerReport};
@@ -820,7 +975,8 @@ pub mod selftest {
     /// Outcome of one seeded-bug kernel.
     #[derive(Clone, Debug)]
     pub struct SeededBug {
-        /// Kernel name (`"oob-read"`, `"uninit-read"`, `"write-write-race"`).
+        /// Kernel name (`"oob-read"`, `"uninit-read"`, `"write-write-race"`,
+        /// `"read-write-race"`, `"hash-oob-probe"`).
         pub name: &'static str,
         /// The finding kind the kernel is seeded to produce.
         pub expected: FindingKind,
@@ -900,6 +1056,34 @@ pub mod selftest {
         }
     }
 
+    /// Lane 0 stores a slot every other lane loads in the same launch — a
+    /// missing barrier between a producer and its consumers.
+    struct ReadWriteRaceKernel {
+        slot: DeviceBuffer<u64>,
+    }
+
+    impl Kernel for ReadWriteRaceKernel {
+        type Lane = OneShotLane;
+        fn spawn(&self, tid: usize, _total: usize) -> OneShotLane {
+            let (addr, bytes) = (self.slot.addr(), 8);
+            OneShotLane {
+                effect: Some(if tid == 0 {
+                    Effect::Write {
+                        addr,
+                        bytes,
+                        value: 1,
+                    }
+                } else {
+                    Effect::Read {
+                        addr,
+                        bytes,
+                        cached: true,
+                    }
+                }),
+            }
+        }
+    }
+
     /// Lane 0 probes a hash-table bucket one stride past the end of its
     /// scratch window — the classic `hash & mask` miscomputation. The
     /// access is a shared-memory effect, so this proves memcheck covers
@@ -943,10 +1127,10 @@ pub mod selftest {
         }
     }
 
-    /// Run the four seeded-bug kernels, each on a fresh sanitized device.
+    /// Run the five seeded-bug kernels, each on a fresh sanitized device.
     pub fn run() -> Vec<SeededBug> {
         let lc = LaunchConfig::new(1, 64);
-        let mut out = Vec::with_capacity(4);
+        let mut out = Vec::with_capacity(5);
 
         let mut dev = seeded_device();
         let data = dev.alloc::<u32>(16).unwrap();
@@ -974,6 +1158,14 @@ pub mod selftest {
             FindingKind::WriteWriteRace,
             &dev,
         ));
+
+        let mut dev = seeded_device();
+        let slot = dev.alloc::<u64>(1).unwrap();
+        dev.poke(&slot, &[0u64]);
+        let kernel = ReadWriteRaceKernel { slot };
+        dev.with_phase("selftest", |d| d.launch("SeededReadWriteRace", lc, &kernel))
+            .unwrap();
+        out.push(outcome("read-write-race", FindingKind::ReadWriteRace, &dev));
 
         let mut dev = seeded_device();
         let table = dev.alloc::<u32>(256).unwrap();
@@ -1024,6 +1216,181 @@ pub mod selftest {
 mod tests {
     use super::*;
 
+    use crate::executor::AccessHook;
+
+    /// The streamed path over a recorded access set: `accesses` split into
+    /// `sms` consecutive per-SM streams (the executor's SM-index order),
+    /// each fed through its own checker.
+    fn streamed(
+        view: ShadowView<'_>,
+        accesses: &[Access],
+        sms: usize,
+        log: bool,
+        stats: &KernelStats,
+        skip_racecheck: bool,
+    ) -> (Vec<Finding>, Vec<Lint>) {
+        let chunk = accesses.len().div_ceil(sms).max(1);
+        let mut checks: Vec<SmCheck<'_>> = (0..sms)
+            .map(|_| SmCheck::new(view, !skip_racecheck && !log, log))
+            .collect();
+        for (i, a) in accesses.iter().enumerate() {
+            checks[i / chunk].access(*a);
+        }
+        let c = finish_launch(view, checks, stats, "k", "p", !skip_racecheck);
+        if log {
+            assert_eq!(c.logs.concat(), accesses, "logs keep SM order");
+        } else {
+            assert!(c.logs.is_empty());
+        }
+        (c.findings, c.lints)
+    }
+
+    /// [`streamed`] on one SM, with the race sweeps on.
+    fn check(sh: &Shadow, accesses: &[Access], stats: &KernelStats) -> Vec<Finding> {
+        streamed(sh.view(), accesses, 1, false, stats, false).0
+    }
+
+    /// Largest kernel read effect width in bytes the oracle's bounded
+    /// read window assumes.
+    const MAX_ACCESS_BYTES: u64 = 64;
+
+    /// The log walk the streamed checks replaced, kept as their oracle:
+    /// memcheck + initcheck every access in log order, then racecheck by
+    /// sorting every store *and every read*.
+    fn oracle_check_launch(
+        shadow: ShadowView<'_>,
+        accesses: &[Access],
+        stats: &KernelStats,
+        label: &str,
+        phase: &str,
+        skip_racecheck: bool,
+    ) -> (Vec<Finding>, Vec<Lint>) {
+        let mut raw: Vec<RawViolation> = Vec::new();
+        let mut reads: Vec<&Access> = Vec::new();
+        let mut writes: Vec<&Access> = Vec::new();
+        for a in accesses {
+            if a.scratch {
+                // Shared-memory-modeled scratch accesses: memcheck bounds only.
+                // They stay out of the racecheck interval lists and the lint
+                // denominators — the kernel synchronizes its table accesses
+                // (build barrier + warp-synchronous probes), and the coalescing
+                // lint's transaction arithmetic only describes global traffic.
+                if a.write {
+                    shadow.check_write_into(a.addr, a.bytes as u64, Some(a.lane), &mut raw);
+                } else {
+                    shadow.check_read_bounds_into(a.addr, a.bytes as u64, Some(a.lane), &mut raw);
+                }
+            } else if a.write {
+                shadow.check_write_into(a.addr, a.bytes as u64, Some(a.lane), &mut raw);
+                writes.push(a);
+            } else {
+                shadow.check_read_into(a.addr, a.bytes as u64, Some(a.lane), &mut raw);
+                reads.push(a);
+            }
+        }
+
+        // --- racecheck: write-write ---
+        // Sort the store intervals and sweep maximal overlapping runs; a run
+        // touched by more than one lane is one conflict (the paper's kernels
+        // write only lane-private slots, so any overlap is a bug). Skipped
+        // wholesale when the static verifier already proved race-freedom.
+        let mut ws: Vec<(u64, u64, u32)> = if skip_racecheck {
+            Vec::new()
+        } else {
+            writes
+                .iter()
+                .map(|a| (a.addr, a.addr + a.bytes as u64, a.lane))
+                .collect()
+        };
+        ws.sort_unstable();
+        let mut i = 0;
+        while i < ws.len() {
+            let (run_addr, mut run_end, first_lane) = ws[i];
+            let mut other_lane: Option<u32> = None;
+            let mut j = i + 1;
+            while j < ws.len() && ws[j].0 < run_end {
+                run_end = run_end.max(ws[j].1);
+                if ws[j].2 != first_lane && other_lane.is_none_or(|l| ws[j].2 < l) {
+                    other_lane = Some(ws[j].2);
+                }
+                j += 1;
+            }
+            if let Some(other) = other_lane {
+                raw.push(RawViolation {
+                    kind: FindingKind::WriteWriteRace,
+                    addr: run_addr,
+                    bytes: (run_end - run_addr).min(u32::MAX as u64) as u32,
+                    buffer: shadow.locate(run_addr).map(|a| a.addr),
+                    lane: Some(first_lane.min(other)),
+                });
+            }
+            i = j;
+        }
+
+        // --- racecheck: read-write ---
+        // For each store, find reads from other lanes overlapping it. Reads
+        // are bounded-width, so only a bounded window of the sorted read list
+        // can overlap; one finding per store suffices. (`ws` is empty when
+        // the race sweeps are skipped, so this loop no-ops then.)
+        let mut rs: Vec<(u64, u64, u32)> = if ws.is_empty() {
+            Vec::new()
+        } else {
+            reads
+                .iter()
+                .map(|a| (a.addr, a.addr + a.bytes as u64, a.lane))
+                .collect()
+        };
+        rs.sort_unstable();
+        for &(waddr, wend, wlane) in &ws {
+            let lo = waddr.saturating_sub(MAX_ACCESS_BYTES);
+            let start = rs.partition_point(|r| r.0 < lo);
+            for &(raddr, rend, rlane) in &rs[start..] {
+                if raddr >= wend {
+                    break;
+                }
+                if rend > waddr && rlane != wlane {
+                    raw.push(RawViolation {
+                        kind: FindingKind::ReadWriteRace,
+                        addr: waddr.max(raddr),
+                        bytes: (wend.min(rend) - waddr.max(raddr)) as u32,
+                        buffer: shadow.locate(waddr).map(|a| a.addr),
+                        lane: Some(rlane),
+                    });
+                    break;
+                }
+            }
+        }
+
+        let findings = raw
+            .into_iter()
+            .map(|r| r.into_finding(label, phase))
+            .collect();
+
+        // --- access-pattern lints (advisories, not findings) ---
+        let mut lints = Vec::new();
+        let read_count = reads.len() as u64;
+        let read_txns = stats.transactions.saturating_sub(writes.len() as u64);
+        if read_count >= 2048 && read_txns * 2 > read_count {
+            lints.push(Lint {
+                kind: LintKind::Uncoalesced,
+                kernel: label.to_string(),
+                phase: phase.to_string(),
+                ratio: read_txns as f64 / read_count as f64,
+                samples: read_count,
+            });
+        }
+        if stats.warp_steps >= 256 && stats.divergent_steps * 10 > stats.warp_steps * 3 {
+            lints.push(Lint {
+                kind: LintKind::DivergenceHeavy,
+                kernel: label.to_string(),
+                phase: phase.to_string(),
+                ratio: stats.divergent_steps as f64 / stats.warp_steps as f64,
+                samples: stats.warp_steps,
+            });
+        }
+        (findings, lints)
+    }
+
     #[test]
     fn bit_range_ops_cover_word_boundaries() {
         let mut bits = vec![0u64; 4];
@@ -1048,24 +1415,24 @@ mod tests {
         sh.mark_init(0, 64);
         let mut out = Vec::new();
         // In-bounds initialized: clean.
-        sh.check_read_into(0, 4, None, &mut out);
+        sh.view().check_read_into(0, 4, None, &mut out);
         assert!(out.is_empty());
         // One-past-the-end within the guard window: clean under Check.
-        sh.check_read_into(64, 4, None, &mut out);
+        sh.view().check_read_into(64, 4, None, &mut out);
         assert!(out.is_empty());
         // Past the guard window: OOB.
-        sh.check_read_into(128, 4, None, &mut out);
+        sh.view().check_read_into(128, 4, None, &mut out);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].kind, FindingKind::OobRead);
         assert_eq!(out[0].buffer, Some(0));
         // Uninitialized second buffer.
         out.clear();
-        sh.check_read_into(256, 8, None, &mut out);
+        sh.view().check_read_into(256, 8, None, &mut out);
         assert_eq!(out[0].kind, FindingKind::UninitRead);
         // Use-after-free.
         sh.on_free(0);
         out.clear();
-        sh.check_read_into(16, 4, None, &mut out);
+        sh.view().check_read_into(16, 4, None, &mut out);
         assert_eq!(out[0].kind, FindingKind::UseAfterFreeRead);
     }
 
@@ -1075,7 +1442,7 @@ mod tests {
         sh.on_alloc(0, 64, 256);
         sh.mark_init(0, 64);
         let mut out = Vec::new();
-        sh.check_read_into(64, 4, None, &mut out);
+        sh.view().check_read_into(64, 4, None, &mut out);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].kind, FindingKind::GuardRead);
     }
@@ -1085,9 +1452,9 @@ mod tests {
         let mut sh = Shadow::new(SanitizerMode::Check);
         sh.on_alloc(0, 64, 256);
         let mut out = Vec::new();
-        sh.check_write_into(60, 4, Some(3), &mut out);
+        sh.view().check_write_into(60, 4, Some(3), &mut out);
         assert!(out.is_empty());
-        sh.check_write_into(64, 4, Some(3), &mut out);
+        sh.view().check_write_into(64, 4, Some(3), &mut out);
         assert_eq!(out[0].kind, FindingKind::OobWrite);
         assert_eq!(out[0].lane, Some(3));
         assert!(sh.write_allowed(60, 4));
@@ -1110,7 +1477,7 @@ mod tests {
             })
             .collect();
         let stats = KernelStats::default();
-        let (findings, _) = check_launch(&sh, &accesses, &stats, "k", "p", false);
+        let findings = check(&sh, &accesses, &stats);
         let races: Vec<&Finding> = findings
             .iter()
             .filter(|f| f.kind == FindingKind::WriteWriteRace)
@@ -1151,7 +1518,7 @@ mod tests {
                 ]
             })
             .collect();
-        let (findings, _) = check_launch(&sh, &private, &stats, "k", "", false);
+        let findings = check(&sh, &private, &stats);
         assert!(findings.is_empty(), "{findings:?}");
         // Lane 1 reads what lane 0 writes: read-write race.
         let racy = vec![
@@ -1172,7 +1539,7 @@ mod tests {
                 spilled: false,
             },
         ];
-        let (findings, _) = check_launch(&sh, &racy, &stats, "k", "", false);
+        let findings = check(&sh, &racy, &stats);
         assert_eq!(findings.len(), 1);
         assert_eq!(findings[0].kind, FindingKind::ReadWriteRace);
         assert_eq!(findings[0].lane, Some(1));
@@ -1203,7 +1570,7 @@ mod tests {
                 spilled: false,
             },
         ];
-        let (findings, _) = check_launch(&sh, &synced, &stats, "k", "", false);
+        let findings = check(&sh, &synced, &stats);
         assert!(findings.is_empty(), "{findings:?}");
         // But bounds still apply: a probe past the scratch window is OOB.
         let oob = vec![Access {
@@ -1214,10 +1581,111 @@ mod tests {
             scratch: true,
             spilled: false,
         }];
-        let (findings, _) = check_launch(&sh, &oob, &stats, "k", "", false);
+        let findings = check(&sh, &oob, &stats);
         assert_eq!(findings.len(), 1);
         assert_eq!(findings[0].kind, FindingKind::OobRead);
         assert_eq!(findings[0].lane, Some(2));
+    }
+
+    /// Hand-rolled LCG (the repo's usual constant): every run draws the
+    /// same access sets.
+    struct Lcg(u64);
+
+    impl Lcg {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_mul(6364136223846793005).wrapping_add(1);
+            self.0 >> 16
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+    }
+
+    /// A random shadow (some allocations partly initialized, some freed)
+    /// and a random access set over it: widths 1–64 B, a hot window where
+    /// lanes' reads and stores overlap, scratch accesses, and stats that
+    /// can trip both lints.
+    fn random_launch(case: u64) -> (Shadow, Vec<Access>, KernelStats) {
+        let mut rng = Lcg(0x9E37_79B9_7F4A_7C15 ^ case.wrapping_mul(0xBF58_476D_1CE4_E5B9));
+        let mode = if case.is_multiple_of(3) {
+            SanitizerMode::Paranoid
+        } else {
+            SanitizerMode::Check
+        };
+        let mut sh = Shadow::new(mode);
+        let mut top = 0u64;
+        for _ in 0..1 + rng.below(4) {
+            let bytes = 1 + rng.below(600);
+            let span = bytes.div_ceil(256) * 256;
+            sh.on_alloc(top, bytes, span);
+            sh.mark_init(top, rng.below(bytes + 1));
+            if rng.below(5) == 0 {
+                sh.on_free(top);
+            }
+            top += span;
+        }
+        let hot = rng.below(top);
+        let n = if rng.below(4) == 0 {
+            2048 + rng.below(1024)
+        } else {
+            rng.below(300)
+        };
+        let accesses: Vec<Access> = (0..n)
+            .map(|_| {
+                let scratch = rng.below(6) == 0;
+                Access {
+                    lane: rng.below(6) as u32,
+                    addr: if rng.below(2) == 0 {
+                        hot + rng.below(96)
+                    } else {
+                        rng.below(top + 128)
+                    },
+                    bytes: 1 + rng.below(64) as u32,
+                    write: rng.below(4) == 0,
+                    scratch,
+                    spilled: scratch && rng.below(2) == 0,
+                }
+            })
+            .collect();
+        let warp_steps = rng.below(1024);
+        let stats = KernelStats {
+            transactions: rng.below(2 * n + 1),
+            warp_steps,
+            divergent_steps: rng.below(warp_steps + 1),
+            ..KernelStats::default()
+        };
+        (sh, accesses, stats)
+    }
+
+    #[test]
+    fn streamed_checks_match_the_sort_every_read_oracle() {
+        let (mut rw, mut ww, mut lints) = (0, 0, 0);
+        for case in 0..300 {
+            let (sh, accesses, stats) = random_launch(case);
+            for skip in [false, true] {
+                let (want_f, want_l) =
+                    oracle_check_launch(sh.view(), &accesses, &stats, "k", "p", skip);
+                for (sms, log) in [(1, false), (3, false), (16, false), (4, true)] {
+                    let (f, l) = streamed(sh.view(), &accesses, sms, log, &stats, skip);
+                    assert_eq!(f, want_f, "case {case} skip {skip} sms {sms} log {log}");
+                    assert_eq!(l, want_l, "case {case} skip {skip} sms {sms} log {log}");
+                }
+                rw += want_f
+                    .iter()
+                    .filter(|f| f.kind == FindingKind::ReadWriteRace)
+                    .count();
+                ww += want_f
+                    .iter()
+                    .filter(|f| f.kind == FindingKind::WriteWriteRace)
+                    .count();
+                lints += want_l.len();
+            }
+        }
+        assert!(
+            rw > 100 && ww > 100 && lints > 10,
+            "rw {rw} ww {ww} lints {lints}"
+        );
     }
 
     #[test]
@@ -1280,9 +1748,9 @@ mod tests {
     }
 
     #[test]
-    fn selftest_detects_all_four_seeded_bugs() {
+    fn selftest_detects_all_five_seeded_bugs() {
         let bugs = selftest::run();
-        assert_eq!(bugs.len(), 4);
+        assert_eq!(bugs.len(), 5);
         for b in &bugs {
             assert!(b.detected, "{} must be detected", b.name);
         }

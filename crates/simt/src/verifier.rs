@@ -594,9 +594,9 @@ fn proves_race_freedom(c: &AccessContract) -> bool {
 /// per-block non-spilled scratch extent must not exceed the declaration.
 /// At most one finding per kind is reported (the trace is deterministic,
 /// so the first violation is stable).
-pub(crate) fn check_trace_containment(
+pub(crate) fn check_trace_containment<'a>(
     contract: &AccessContract,
-    accesses: &[Access],
+    accesses: impl IntoIterator<Item = &'a Access>,
     lc: LaunchConfig,
     total: usize,
     label: &str,

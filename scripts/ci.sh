@@ -161,8 +161,9 @@ echo "==> sanitized smoke gate"
 
 echo "==> sanitizer seeded-bug self-test"
 # The gate above proves the sanitizer stays quiet on clean runs; this one
-# proves it actually fires — an OOB read, an uninitialized read, and a
-# write-write race must each be detected.
+# proves it actually fires — an OOB read, an uninitialized read, a
+# write-write race, a read-write race, and a hash-table probe past its
+# scratch window must each be detected.
 ./target/release/tcount sanitize-selftest > /dev/null
 
 echo "==> static verifier gate"
@@ -178,5 +179,10 @@ echo "==> verifier seeded-lie self-test"
 # too narrow, false disjointness claim, understated shared budget,
 # out-of-bounds footprint) must each be caught.
 ./target/release/tcount verify-selftest > /dev/null
+
+echo "==> benchmark self-test"
+# Every perfledger workload once at smoke scale, untraced and traced —
+# including the sanitized and verified counts of the checked workload.
+cargo test --release --offline --manifest-path perfledger/Cargo.toml
 
 echo "==> ci OK"

@@ -48,7 +48,8 @@
 //! the run.
 //!
 //! `tcount sanitize-selftest` runs the seeded-bug kernels (out-of-bounds
-//! read, uninitialized read, write-write race), prints their reports, and
+//! read, uninitialized read, write-write race, read-write race, hash-table
+//! probe past its scratch window), prints their reports, and
 //! fails unless every seeded bug was detected — the CI gate that proves
 //! the sanitizer actually fires.
 //!

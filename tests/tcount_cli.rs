@@ -15,7 +15,10 @@ fn tcount_bin() -> PathBuf {
     path
 }
 
-fn fixture_file() -> (PathBuf, u64) {
+/// Write the fixture graph to a file of the calling test's own: the tests
+/// run on parallel threads, and a shared file could be read while another
+/// test rewrites it.
+fn fixture_file(test: &str) -> (PathBuf, u64) {
     let g = erdos_renyi::gnm(100, 600, Seed(42));
     let expected = triangles::core::CountRequest::new(triangles::core::Backend::CpuForward)
         .run(&g)
@@ -23,14 +26,14 @@ fn fixture_file() -> (PathBuf, u64) {
         .triangles;
     let dir = std::env::temp_dir().join("tcount_cli_test");
     std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("fixture.txt");
+    let path = dir.join(format!("fixture-{test}.txt"));
     io::write_text(&g, &path).unwrap();
     (path, expected)
 }
 
 #[test]
 fn counts_a_text_file() {
-    let (path, expected) = fixture_file();
+    let (path, expected) = fixture_file("counts_a_text_file");
     let out = Command::new(tcount_bin())
         .arg(&path)
         .args(["--backend", "forward", "--validate"])
@@ -51,7 +54,7 @@ fn counts_a_text_file() {
 
 #[test]
 fn gpu_backend_reports_profile() {
-    let (path, expected) = fixture_file();
+    let (path, expected) = fixture_file("gpu_backend_reports_profile");
     let out = Command::new(tcount_bin())
         .arg(&path)
         .args(["--backend", "gtx980", "--clustering"])
@@ -73,7 +76,7 @@ fn gpu_backend_reports_profile() {
 
 #[test]
 fn trace_flag_writes_a_chrome_trace() {
-    let (path, expected) = fixture_file();
+    let (path, expected) = fixture_file("trace_flag_writes_a_chrome_trace");
     let trace = std::env::temp_dir()
         .join("tcount_cli_test")
         .join("trace.json");
@@ -104,7 +107,7 @@ fn trace_flag_writes_a_chrome_trace() {
 
 #[test]
 fn multi_gpu_trace_names_every_device() {
-    let (path, expected) = fixture_file();
+    let (path, expected) = fixture_file("multi_gpu_trace_names_every_device");
     let trace = std::env::temp_dir()
         .join("tcount_cli_test")
         .join("multi_trace.json");
@@ -131,7 +134,7 @@ fn multi_gpu_trace_names_every_device() {
 
 #[test]
 fn profile_flag_prints_phase_table_and_writes_json() {
-    let (path, expected) = fixture_file();
+    let (path, expected) = fixture_file("profile_flag_prints_phase_table_and_writes_json");
     let json = std::env::temp_dir()
         .join("tcount_cli_test")
         .join("profile.json");
@@ -201,7 +204,7 @@ fn bad_usage_fails_cleanly() {
         .output()
         .unwrap();
     assert_eq!(out.status.code(), Some(1));
-    let (path, _) = fixture_file();
+    let (path, _) = fixture_file("bad_usage_fails_cleanly");
     let out = Command::new(tcount_bin())
         .arg(&path)
         .args(["--backend", "quantum"])
