@@ -60,7 +60,7 @@ pub struct CountKernel {
 }
 
 impl Kernel for CountKernel {
-    type Lane = CountLane;
+    type Lane<'k> = CountLane<'k>;
 
     fn contract(&self, _lc: LaunchConfig, total: usize) -> Option<AccessContract> {
         // Reads: the edge stripe this grid covers, the whole node array
@@ -106,9 +106,9 @@ impl Kernel for CountKernel {
         })
     }
 
-    fn spawn(&self, tid: usize, total: usize) -> CountLane {
+    fn spawn(&self, tid: usize, total: usize) -> CountLane<'_> {
         CountLane {
-            k: *self,
+            k: self,
             i: self.offset + tid,
             end: self.offset + self.count,
             stride: total,
@@ -149,8 +149,8 @@ enum Phase {
 }
 
 /// One thread of [`CountKernel`].
-pub struct CountLane {
-    k: CountKernel,
+pub struct CountLane<'k> {
+    k: &'k CountKernel,
     i: usize,
     end: usize,
     stride: usize,
@@ -167,7 +167,7 @@ pub struct CountLane {
     phase: Phase,
 }
 
-impl CountLane {
+impl CountLane<'_> {
     /// Address and width of neighbour-array element `idx`.
     #[inline]
     fn elem(&self, idx: u32) -> (u64, u32) {
@@ -198,7 +198,7 @@ impl CountLane {
     }
 }
 
-impl Lane for CountLane {
+impl Lane for CountLane<'_> {
     fn step(&mut self, mem: &MemView<'_>) -> Effect {
         // Register-only transitions are folded into the next memory step, so
         // every `step` returns exactly one chargeable effect.

@@ -44,3 +44,21 @@ pub enum EdgeLayout {
     /// Array of `(u32, u32)` structs (no unzip) — 13–32 % slower.
     AoS,
 }
+
+#[cfg(test)]
+mod tests {
+    use super::count_kernel::CountLane;
+    use super::warp_centric::WarpCentricLane;
+
+    #[test]
+    fn lane_state_stays_small() {
+        // The executor keeps every resident warp's lanes hot while it steps
+        // them; lanes borrow their kernel instead of copying it, so a lane
+        // is the thread's own registers only. A new field or a kernel copy
+        // that pushes lane state back out of the host cache fails here.
+        let count = size_of::<CountLane<'_>>();
+        let warp_centric = size_of::<WarpCentricLane<'_>>();
+        assert!(count <= 96, "CountLane is {count} B");
+        assert!(warp_centric <= 224, "WarpCentricLane is {warp_centric} B");
+    }
+}

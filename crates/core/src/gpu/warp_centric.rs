@@ -138,7 +138,7 @@ pub struct WarpCentricKernel {
 }
 
 impl Kernel for WarpCentricKernel {
-    type Lane = WarpCentricLane;
+    type Lane<'k> = WarpCentricLane<'k>;
 
     fn contract(&self, lc: LaunchConfig, total: usize) -> Option<AccessContract> {
         let w = self.virtual_warp.max(1);
@@ -188,12 +188,12 @@ impl Kernel for WarpCentricKernel {
         })
     }
 
-    fn spawn(&self, tid: usize, total: usize) -> WarpCentricLane {
+    fn spawn(&self, tid: usize, total: usize) -> WarpCentricLane<'_> {
         let w = self.virtual_warp as usize;
         let vw = tid / w;
         let hash = self.strategy == IntersectStrategy::Hash;
         WarpCentricLane {
-            k: *self,
+            k: self,
             // Hash bins deal edges in HASH_RUN-long runs round-robin over
             // the virtual warps (build-list amortization); the other
             // strategies grid-stride one edge at a time.
@@ -284,8 +284,8 @@ enum Phase {
 }
 
 /// One lane of a virtual warp.
-pub struct WarpCentricLane {
-    k: WarpCentricKernel,
+pub struct WarpCentricLane<'k> {
+    k: &'k WarpCentricKernel,
     edge: usize,
     edge_stride: usize,
     role: u32,
@@ -358,7 +358,7 @@ pub struct WarpCentricLane {
     probe_found: bool,
 }
 
-impl WarpCentricLane {
+impl WarpCentricLane<'_> {
     #[inline]
     fn read(&self, addr: u64) -> Effect {
         Effect::Read {
@@ -470,7 +470,7 @@ impl WarpCentricLane {
     }
 }
 
-impl Lane for WarpCentricLane {
+impl Lane for WarpCentricLane<'_> {
     fn step(&mut self, mem: &MemView<'_>) -> Effect {
         loop {
             match self.phase {

@@ -33,16 +33,19 @@ impl CacheStats {
 }
 
 /// A set-associative cache with true-LRU replacement.
+///
+/// Each set keeps its ways in recency order, most recent first: a hit
+/// rotates the way to the front and a miss evicts the last way. That is
+/// the hit/miss sequence of stamp-based true LRU without the stamps.
 #[derive(Clone, Debug)]
 pub struct Cache {
-    /// `tags[set * ways + way]`; `u64::MAX` = invalid.
+    /// `tags[set * ways ..][..ways]`, most recently used first;
+    /// `u64::MAX` = invalid.
     tags: Vec<u64>,
-    /// Monotone per-access stamps for LRU.
-    stamps: Vec<u64>,
-    sets: u32,
-    ways: u32,
+    /// `sets − 1`; the set count is a power of two.
+    set_mask: u64,
+    ways: usize,
     line_shift: u32,
-    tick: u64,
     stats: CacheStats,
 }
 
@@ -60,44 +63,33 @@ impl Cache {
         let sets = 1u32 << (31 - raw_sets.leading_zeros());
         Cache {
             tags: vec![u64::MAX; (sets * ways) as usize],
-            stamps: vec![0; (sets * ways) as usize],
-            sets,
-            ways,
+            set_mask: sets as u64 - 1,
+            ways: ways as usize,
             line_shift: line_bytes.trailing_zeros(),
-            tick: 0,
             stats: CacheStats::default(),
         }
     }
 
     /// Probe the line containing `addr`; fill on miss. Returns `true` on hit.
+    #[inline]
     pub fn access(&mut self, addr: u64) -> bool {
-        self.tick += 1;
         self.stats.accesses += 1;
         let line = addr >> self.line_shift;
-        let set = (line % self.sets as u64) as u32;
-        let base = (set * self.ways) as usize;
-        let ways = self.ways as usize;
-        let slots = &mut self.tags[base..base + ways];
-        if let Some(w) = slots.iter().position(|&t| t == line) {
-            self.stamps[base + w] = self.tick;
-            self.stats.hits += 1;
-            return true;
+        let base = (line & self.set_mask) as usize * self.ways;
+        let slots = &mut self.tags[base..base + self.ways];
+        match slots.iter().position(|&t| t == line) {
+            Some(w) => {
+                slots[..=w].rotate_right(1);
+                self.stats.hits += 1;
+                true
+            }
+            None => {
+                // Miss: the last way is the least recently used.
+                slots.rotate_right(1);
+                slots[0] = line;
+                false
+            }
         }
-        // Miss: evict LRU way.
-        let victim = (0..ways)
-            .min_by_key(|&w| self.stamps[base + w])
-            .expect("ways >= 1");
-        self.tags[base + victim] = line;
-        self.stamps[base + victim] = self.tick;
-        false
-    }
-
-    /// Probe without filling (used to model cache-bypass configurations).
-    pub fn peek(&self, addr: u64) -> bool {
-        let line = addr >> self.line_shift;
-        let set = (line % self.sets as u64) as u32;
-        let base = (set * self.ways) as usize;
-        self.tags[base..base + self.ways as usize].contains(&line)
     }
 
     #[inline]
@@ -111,13 +103,100 @@ impl Cache {
 
     /// Number of sets (for tests).
     pub fn num_sets(&self) -> u32 {
-        self.sets
+        (self.set_mask + 1) as u32
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_rng::Lcg;
+
+    /// The stamp-based true-LRU cache the recency-ordered sets replaced,
+    /// kept as the oracle: a monotone stamp per access, the victim is the
+    /// way with the oldest stamp (invalid ways carry stamp 0 and go first).
+    struct StampLru {
+        tags: Vec<u64>,
+        stamps: Vec<u64>,
+        sets: u32,
+        ways: u32,
+        line_shift: u32,
+        tick: u64,
+        stats: CacheStats,
+    }
+
+    impl StampLru {
+        fn new(capacity_bytes: u32, ways: u32, line_bytes: u32) -> Self {
+            let lines = (capacity_bytes / line_bytes).max(ways);
+            let raw_sets = (lines / ways).max(1);
+            let sets = 1u32 << (31 - raw_sets.leading_zeros());
+            StampLru {
+                tags: vec![u64::MAX; (sets * ways) as usize],
+                stamps: vec![0; (sets * ways) as usize],
+                sets,
+                ways,
+                line_shift: line_bytes.trailing_zeros(),
+                tick: 0,
+                stats: CacheStats::default(),
+            }
+        }
+
+        fn access(&mut self, addr: u64) -> bool {
+            self.tick += 1;
+            self.stats.accesses += 1;
+            let line = addr >> self.line_shift;
+            let set = (line % self.sets as u64) as u32;
+            let base = (set * self.ways) as usize;
+            let ways = self.ways as usize;
+            let slots = &mut self.tags[base..base + ways];
+            if let Some(w) = slots.iter().position(|&t| t == line) {
+                self.stamps[base + w] = self.tick;
+                self.stats.hits += 1;
+                return true;
+            }
+            let victim = (0..ways)
+                .min_by_key(|&w| self.stamps[base + w])
+                .expect("ways >= 1");
+            self.tags[base + victim] = line;
+            self.stamps[base + victim] = self.tick;
+            false
+        }
+    }
+
+    #[test]
+    fn recency_order_matches_stamp_lru() {
+        // (capacity, ways): direct-mapped, an 8-way texture cache whose raw
+        // set count (96 KB / 32 B / 8 = 384) rounds down to 256, a 16-way
+        // L2 slice, and a 16-way cache with only two sets.
+        let shapes = [(4 * 1024, 1), (96 * 1024, 8), (8 * 1024, 16), (1024, 16)];
+        for (capacity, ways) in shapes {
+            for case in 0..8 {
+                let mut rng = Lcg::for_case(case);
+                let mut fast = Cache::new(capacity, ways, 32);
+                let mut oracle = StampLru::new(capacity, ways, 32);
+                assert_eq!(fast.num_sets(), oracle.sets);
+                // A working set up to 4x the capacity: re-touches of recent
+                // addresses, a hot region, and cold far-away lines.
+                let hot = 4 * capacity as u64;
+                let mut recent = [0u64; 16];
+                for i in 0..20_000 {
+                    let addr = match rng.below(4) {
+                        0 => recent[rng.below(16) as usize] + rng.below(32),
+                        1 | 2 => rng.below(hot),
+                        _ => rng.next(),
+                    };
+                    recent[i % 16] = addr;
+                    let want = oracle.access(addr);
+                    assert_eq!(
+                        fast.access(addr),
+                        want,
+                        "{capacity} B x {ways} ways, case {case}, access {i}"
+                    );
+                }
+                assert_eq!(fast.stats(), oracle.stats);
+            }
+        }
+    }
 
     #[test]
     fn repeated_access_hits() {
@@ -169,15 +248,6 @@ mod tests {
             }
         }
         assert!(c.stats().hit_rate() < 0.1, "rate {}", c.stats().hit_rate());
-    }
-
-    #[test]
-    fn peek_does_not_fill_or_count() {
-        let mut c = Cache::new(1024, 4, 32);
-        assert!(!c.peek(0));
-        assert_eq!(c.stats().accesses, 0);
-        c.access(0);
-        assert!(c.peek(0));
     }
 
     #[test]

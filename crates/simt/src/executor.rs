@@ -16,6 +16,12 @@
 //!   latency hiding that makes occupancy matter and is what the paper's
 //!   §III-D5 warp-size experiment manipulates.
 //!
+//! Each step issues from the live warp with the earliest ready time, ties to
+//! the lowest warp index; a binary heap keyed on `(ready_at, index)` makes
+//! that pick in O(log W). Each lane's load adds its lines to the step's
+//! cached or uncached line set as it issues, in first-touch order, so the
+//! caches are probed once per distinct line with no second pass.
+//!
 //! SMs share no simulated state: each owns its texture cache and a private
 //! `l2_cache_bytes / num_sms` L2 slice that sees every address (not an
 //! address-partitioned shared L2), so SMs simulate in parallel on tc-par
@@ -24,9 +30,12 @@
 //! by total DRAM traffic over peak DRAM bandwidth (a bandwidth-saturation
 //! model).
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use crate::arena::Arena;
 use crate::cache::{Cache, CacheStats};
-use crate::coalesce::coalesce_into;
+use crate::coalesce::push_lines;
 use crate::config::DeviceConfig;
 use crate::error::SimtError;
 use crate::kernel::{Effect, Kernel, Lane, MemView};
@@ -260,17 +269,42 @@ struct WarpSim<L> {
     lanes: Vec<L>,
     active: Vec<bool>,
     live: usize,
-    ready_at: f64,
     block_slot: usize,
     /// Global thread id of lane 0 of this warp (sanitizer attribution).
     tid_base: usize,
 }
 
+/// The SM's live warps ordered by when they may issue next: the earliest
+/// ready time first, ties to the lowest warp index (which keeps the
+/// simulation deterministic). Ready times are finite and non-negative, so
+/// their IEEE-754 bit patterns order like their values.
+#[derive(Default)]
+struct ReadyQueue {
+    heap: BinaryHeap<Reverse<(u64, usize)>>,
+}
+
+impl ReadyQueue {
+    /// Make warp `warp` eligible to issue at cycle `ready_at`.
+    #[inline]
+    fn push(&mut self, warp: usize, ready_at: f64) {
+        debug_assert!(ready_at.is_finite() && ready_at.is_sign_positive());
+        self.heap.push(Reverse((ready_at.to_bits(), warp)));
+    }
+
+    /// Remove and return the next warp to issue with its ready time.
+    #[inline]
+    fn pop(&mut self) -> Option<(usize, f64)> {
+        self.heap
+            .pop()
+            .map(|Reverse((bits, warp))| (warp, f64::from_bits(bits)))
+    }
+}
+
 #[allow(clippy::too_many_arguments)]
-fn simulate_sm<K: Kernel, H: AccessHook>(
+fn simulate_sm<'k, K: Kernel, H: AccessHook>(
     cfg: &DeviceConfig,
     mem: MemView<'_>,
-    kernel: &K,
+    kernel: &'k K,
     blocks: &[u32],
     warps_per_block: u32,
     lanes_per_warp: usize,
@@ -281,33 +315,38 @@ fn simulate_sm<K: Kernel, H: AccessHook>(
     let mut tex = Cache::new(cfg.tex_cache_bytes, cfg.tex_cache_ways, cfg.line_bytes);
     let l2_slice = (cfg.l2_cache_bytes / cfg.num_sms).max(cfg.line_bytes * cfg.l2_cache_ways);
     let mut l2 = Cache::new(l2_slice, cfg.l2_cache_ways, cfg.line_bytes);
+    let line_shift = cfg.line_bytes.trailing_zeros();
 
-    let spawn_block = |block: u32, at: f64, slot: usize| -> Vec<WarpSim<K::Lane>> {
-        (0..warps_per_block)
-            .map(|w| {
-                let global_warp = block as usize * warps_per_block as usize + w as usize;
-                let lanes: Vec<K::Lane> = (0..lanes_per_warp)
-                    .map(|l| kernel.spawn(global_warp * lanes_per_warp + l, total_active))
-                    .collect();
-                WarpSim {
-                    active: vec![true; lanes.len()],
-                    live: lanes.len(),
-                    lanes,
-                    ready_at: at,
-                    block_slot: slot,
-                    tid_base: global_warp * lanes_per_warp,
-                }
-            })
-            .collect()
+    // Append a block's warps, all ready at `at`.
+    let spawn_block = |warps: &mut Vec<WarpSim<K::Lane<'k>>>,
+                       ready: &mut ReadyQueue,
+                       block: u32,
+                       at: f64,
+                       slot: usize| {
+        for w in 0..warps_per_block as usize {
+            let tid_base = (block as usize * warps_per_block as usize + w) * lanes_per_warp;
+            let lanes: Vec<K::Lane<'k>> = (0..lanes_per_warp)
+                .map(|l| kernel.spawn(tid_base + l, total_active))
+                .collect();
+            ready.push(warps.len(), at);
+            warps.push(WarpSim {
+                active: vec![true; lanes.len()],
+                live: lanes.len(),
+                lanes,
+                block_slot: slot,
+                tid_base,
+            });
+        }
     };
 
     // Admit the initial resident set.
+    let mut warps: Vec<WarpSim<K::Lane<'k>>> = Vec::new();
+    let mut ready = ReadyQueue::default();
     let mut next_block = 0usize;
-    let mut warps: Vec<WarpSim<K::Lane>> = Vec::new();
     let mut block_live_warps: Vec<u32> = Vec::new();
     while next_block < blocks.len() && block_live_warps.len() < resident_blocks {
         let slot = block_live_warps.len();
-        warps.extend(spawn_block(blocks[next_block], 0.0, slot));
+        spawn_block(&mut warps, &mut ready, blocks[next_block], 0.0, slot);
         block_live_warps.push(warps_per_block);
         next_block += 1;
     }
@@ -327,135 +366,124 @@ fn simulate_sm<K: Kernel, H: AccessHook>(
     let mut shared_conflict_cycles = 0f64;
     let mut writes: Vec<PendingWrite> = Vec::new();
 
-    let mut reads_cached: Vec<(u64, u32)> = Vec::with_capacity(lanes_per_warp);
-    let mut reads_uncached: Vec<(u64, u32)> = Vec::with_capacity(lanes_per_warp);
-    let mut lines: Vec<u64> = Vec::with_capacity(lanes_per_warp * 2);
+    // The step's distinct lines, coalesced as lanes issue (first touch).
+    let mut lines_cached: Vec<u64> = Vec::with_capacity(lanes_per_warp * 2);
+    let mut lines_uncached: Vec<u64> = Vec::with_capacity(lanes_per_warp * 2);
     let mut shared_words: Vec<u64> = Vec::with_capacity(lanes_per_warp * 4);
     let mut bank_counts: Vec<u32> = vec![0; cfg.shared_banks.max(1) as usize];
 
-    loop {
-        // Pick the ready warp with the earliest ready time (stable tie-break
-        // on index keeps the simulation deterministic).
-        let mut chosen: Option<usize> = None;
-        for (i, w) in warps.iter().enumerate() {
-            if w.live > 0 && chosen.is_none_or(|c| w.ready_at < warps[c].ready_at) {
-                chosen = Some(i);
-            }
-        }
-        let Some(wi) = chosen else {
-            break; // every admitted warp retired, and admission is eager
-        };
-
-        let now = warps[wi].ready_at.max(alu_clock);
+    // Every admitted warp retired once the queue drains: admission is eager.
+    while let Some((wi, ready_at)) = ready.pop() {
+        let now = ready_at.max(alu_clock);
         warp_steps += 1;
 
         // Lockstep: step every active lane once.
-        reads_cached.clear();
-        reads_uncached.clear();
+        lines_cached.clear();
+        lines_uncached.clear();
         shared_words.clear();
         let mut write_txns = 0u64;
         let mut compute_latency = 0u32;
-        let mut kinds_seen = [false; 7];
-        {
-            let w = &mut warps[wi];
-            for li in 0..w.lanes.len() {
-                if !w.active[li] {
-                    continue;
-                }
-                let eff = w.lanes[li].step(&mem);
-                lane_steps += 1;
-                kinds_seen[eff.kind() as usize] = true;
-                match eff {
-                    Effect::Read {
+        let mut kinds_seen = 0u8; // bit `Effect::kind()` per kind issued
+        let w = &mut warps[wi];
+        for (li, (lane, active)) in w.lanes.iter_mut().zip(&mut w.active).enumerate() {
+            if !*active {
+                continue;
+            }
+            let eff = lane.step(&mem);
+            lane_steps += 1;
+            kinds_seen |= 1 << eff.kind();
+            match eff {
+                Effect::Read {
+                    addr,
+                    bytes,
+                    cached,
+                } => {
+                    hook.access(Access {
+                        lane: (w.tid_base + li) as u32,
                         addr,
                         bytes,
-                        cached,
-                    } => {
-                        hook.access(Access {
-                            lane: (w.tid_base + li) as u32,
-                            addr,
-                            bytes,
-                            write: false,
-                            scratch: false,
-                            spilled: false,
-                        });
-                        if cached {
-                            reads_cached.push((addr, bytes));
-                        } else {
-                            reads_uncached.push((addr, bytes));
-                        }
+                        write: false,
+                        scratch: false,
+                        spilled: false,
+                    });
+                    let lines = if cached {
+                        &mut lines_cached
+                    } else {
+                        &mut lines_uncached
+                    };
+                    push_lines(lines, addr, bytes, line_shift);
+                }
+                Effect::Write { addr, bytes, value } => {
+                    hook.access(Access {
+                        lane: (w.tid_base + li) as u32,
+                        addr,
+                        bytes,
+                        write: true,
+                        scratch: false,
+                        spilled: false,
+                    });
+                    writes.push(PendingWrite { addr, bytes, value });
+                    write_txns += 1;
+                    dram_write_bytes += bytes as u64; // write-through
+                }
+                Effect::SharedRead {
+                    addr,
+                    bytes,
+                    spilled,
+                } => {
+                    hook.access(Access {
+                        lane: (w.tid_base + li) as u32,
+                        addr,
+                        bytes,
+                        write: false,
+                        scratch: true,
+                        spilled,
+                    });
+                    if spilled {
+                        // Table overflowed shared memory: the chain walk
+                        // reads global scratch through L2/DRAM.
+                        push_lines(&mut lines_uncached, addr, bytes, line_shift);
+                    } else {
+                        shared_accesses += 1;
+                        push_shared_words(&mut shared_words, addr, bytes);
                     }
-                    Effect::Write { addr, bytes, value } => {
-                        hook.access(Access {
-                            lane: (w.tid_base + li) as u32,
-                            addr,
-                            bytes,
-                            write: true,
-                            scratch: false,
-                            spilled: false,
-                        });
-                        writes.push(PendingWrite { addr, bytes, value });
+                }
+                Effect::SharedWrite {
+                    addr,
+                    bytes,
+                    value,
+                    spilled,
+                } => {
+                    hook.access(Access {
+                        lane: (w.tid_base + li) as u32,
+                        addr,
+                        bytes,
+                        write: true,
+                        scratch: true,
+                        spilled,
+                    });
+                    writes.push(PendingWrite { addr, bytes, value });
+                    if spilled {
                         write_txns += 1;
                         dram_write_bytes += bytes as u64; // write-through
+                    } else {
+                        shared_accesses += 1;
+                        push_shared_words(&mut shared_words, addr, bytes);
                     }
-                    Effect::SharedRead {
-                        addr,
-                        bytes,
-                        spilled,
-                    } => {
-                        hook.access(Access {
-                            lane: (w.tid_base + li) as u32,
-                            addr,
-                            bytes,
-                            write: false,
-                            scratch: true,
-                            spilled,
-                        });
-                        if spilled {
-                            // Table overflowed shared memory: the chain walk
-                            // reads global scratch through L2/DRAM.
-                            reads_uncached.push((addr, bytes));
-                        } else {
-                            shared_accesses += 1;
-                            push_shared_words(&mut shared_words, addr, bytes);
-                        }
-                    }
-                    Effect::SharedWrite {
-                        addr,
-                        bytes,
-                        value,
-                        spilled,
-                    } => {
-                        hook.access(Access {
-                            lane: (w.tid_base + li) as u32,
-                            addr,
-                            bytes,
-                            write: true,
-                            scratch: true,
-                            spilled,
-                        });
-                        writes.push(PendingWrite { addr, bytes, value });
-                        if spilled {
-                            write_txns += 1;
-                            dram_write_bytes += bytes as u64; // write-through
-                        } else {
-                            shared_accesses += 1;
-                            push_shared_words(&mut shared_words, addr, bytes);
-                        }
-                    }
-                    Effect::Compute { cycles } => {
-                        compute_latency = compute_latency.max(cycles);
-                    }
-                    Effect::Done => {
-                        w.active[li] = false;
-                        w.live -= 1;
-                    }
+                }
+                Effect::Compute { cycles } => {
+                    compute_latency = compute_latency.max(cycles);
+                }
+                Effect::Done => {
+                    *active = false;
+                    w.live -= 1;
                 }
             }
         }
 
-        // Issue cost: one slot per distinct effect kind (Done issues nothing).
-        let groups = kinds_seen[..6].iter().filter(|&&k| k).count() as u32;
+        // Issue cost: one slot per distinct effect kind (kinds 0..=5; Done,
+        // kind 6, issues nothing).
+        let groups = (kinds_seen & 0b11_1111).count_ones();
         issue_groups += groups as u64;
         if groups > 1 {
             divergent_steps += 1;
@@ -473,35 +501,27 @@ fn simulate_sm<K: Kernel, H: AccessHook>(
                 ((degree.saturating_sub(1)) as u64 * cfg.shared_latency as u64) as f64;
         }
 
-        // Memory cost: coalesce, probe caches, charge the memory pipeline.
-        let mut txns = write_txns;
-        if !reads_cached.is_empty() {
-            coalesce_into(&reads_cached, cfg.line_bytes, &mut lines);
-            txns += lines.len() as u64;
-            for &line in &lines {
-                let lat = if tex.access(line) {
-                    cfg.tex_hit_latency
-                } else if l2.access(line) {
-                    cfg.l2_hit_latency
-                } else {
-                    dram_read_bytes += cfg.dram_fetch_bytes as u64;
-                    cfg.dram_latency
-                };
-                latency = latency.max(lat as f64);
-            }
+        // Memory cost: probe caches, charge the memory pipeline.
+        let txns = write_txns + (lines_cached.len() + lines_uncached.len()) as u64;
+        for &line in &lines_cached {
+            let lat = if tex.access(line) {
+                cfg.tex_hit_latency
+            } else if l2.access(line) {
+                cfg.l2_hit_latency
+            } else {
+                dram_read_bytes += cfg.dram_fetch_bytes as u64;
+                cfg.dram_latency
+            };
+            latency = latency.max(lat as f64);
         }
-        if !reads_uncached.is_empty() {
-            coalesce_into(&reads_uncached, cfg.line_bytes, &mut lines);
-            txns += lines.len() as u64;
-            for &line in &lines {
-                let lat = if l2.access(line) {
-                    cfg.l2_hit_latency
-                } else {
-                    dram_read_bytes += cfg.dram_fetch_bytes as u64;
-                    cfg.dram_latency
-                };
-                latency = latency.max(lat as f64);
-            }
+        for &line in &lines_uncached {
+            let lat = if l2.access(line) {
+                cfg.l2_hit_latency
+            } else {
+                dram_read_bytes += cfg.dram_fetch_bytes as u64;
+                cfg.dram_latency
+            };
+            latency = latency.max(lat as f64);
         }
         transactions += txns;
 
@@ -514,16 +534,19 @@ fn simulate_sm<K: Kernel, H: AccessHook>(
         end_cycle = end_cycle.max(completion);
 
         // Retire and admit.
-        if warps[wi].live == 0 {
-            let slot = warps[wi].block_slot;
+        if w.live == 0 {
+            // Free the retired warp's lane state (hash tables included)
+            // for the blocks admitted after it.
+            w.lanes = Vec::new();
+            let slot = w.block_slot;
             block_live_warps[slot] -= 1;
             if block_live_warps[slot] == 0 && next_block < blocks.len() {
-                warps.extend(spawn_block(blocks[next_block], completion, slot));
+                spawn_block(&mut warps, &mut ready, blocks[next_block], completion, slot);
                 block_live_warps[slot] = warps_per_block;
                 next_block += 1;
             }
         } else {
-            warps[wi].ready_at = completion;
+            ready.push(wi, completion);
         }
     }
 
@@ -576,6 +599,7 @@ fn bank_conflict_degree(words: &mut Vec<u64>, counts: &mut [u32]) -> u32 {
 mod tests {
     use super::*;
     use crate::arena::DeviceBuffer;
+    use crate::test_rng::Lcg;
 
     /// Kernel: each lane reads `input[tid]`, doubles it, writes `output[tid]`.
     struct DoubleKernel {
@@ -633,7 +657,7 @@ mod tests {
     }
 
     impl Kernel for DoubleKernel {
-        type Lane = DoubleLane;
+        type Lane<'k> = DoubleLane;
         fn spawn(&self, tid: usize, total: usize) -> DoubleLane {
             DoubleLane {
                 stride: total,
@@ -823,7 +847,7 @@ mod tests {
             }
         }
         impl Kernel for DivergentKernel {
-            type Lane = DivergentLane;
+            type Lane<'k> = DivergentLane;
             fn spawn(&self, tid: usize, _total: usize) -> DivergentLane {
                 DivergentLane {
                     even: tid.is_multiple_of(2),
@@ -890,7 +914,7 @@ mod tests {
             }
         }
         impl Kernel for SharedKernel {
-            type Lane = SharedLane;
+            type Lane<'k> = SharedLane;
             fn spawn(&self, tid: usize, _total: usize) -> SharedLane {
                 SharedLane {
                     addr: self.base + tid as u64 * self.word_stride * 4,
@@ -924,6 +948,60 @@ mod tests {
             conflicted.sm_cycles,
             clean.sm_cycles
         );
+    }
+
+    /// The O(W) scan the ready queue replaced, kept as the oracle: the live
+    /// warp with the earliest ready time, ties to the lowest index.
+    fn scan_pick(ready: &[Option<f64>]) -> Option<usize> {
+        let mut chosen: Option<usize> = None;
+        for (i, r) in ready.iter().enumerate() {
+            if let Some(t) = r {
+                if chosen.is_none_or(|c| *t < ready[c].unwrap()) {
+                    chosen = Some(i);
+                }
+            }
+        }
+        chosen
+    }
+
+    #[test]
+    fn ready_queue_picks_what_the_scan_picks() {
+        // Random schedules: warps re-queue at ready times drawn from a tiny
+        // set (many exact ties, including 0.0), retire, and new warps are
+        // admitted mid-run with the ready time of the retiring step.
+        for case in 0..200 {
+            let mut rng = Lcg::for_case(case);
+            let times = [0.0, 0.5, 1.0, 1.5, 2.0, 1e9];
+            let mut scan: Vec<Option<f64>> = Vec::new();
+            let mut heap = ReadyQueue::default();
+            for _ in 0..1 + rng.below(24) {
+                heap.push(scan.len(), 0.0);
+                scan.push(Some(0.0));
+            }
+            let mut now = 0.0f64;
+            for step in 0..2000 {
+                let want = scan_pick(&scan);
+                let got = heap.pop();
+                assert_eq!(got.map(|g| g.0), want, "case {case}, step {step}");
+                let Some((wi, at)) = got else { break };
+                assert_eq!(Some(at), scan[wi], "case {case}, step {step}");
+                now = now.max(at);
+                let next = now + times[rng.below(times.len() as u64) as usize];
+                match rng.below(8) {
+                    0 => {
+                        scan[wi] = None;
+                        for _ in 0..rng.below(3) {
+                            heap.push(scan.len(), next);
+                            scan.push(Some(next));
+                        }
+                    }
+                    _ => {
+                        heap.push(wi, next);
+                        scan[wi] = Some(next);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

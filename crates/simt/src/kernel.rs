@@ -1,12 +1,15 @@
 //! The kernel programming model: per-thread resumable state machines.
 //!
 //! A simulated kernel is a [`Kernel`] that spawns one [`Lane`] per thread.
-//! Each scheduling event, the warp executor calls [`Lane::step`] on every
-//! active lane in lockstep; the lane performs the *functional* part of one
-//! instruction (reading device memory through the [`MemView`], updating its
-//! private state) and returns the [`Effect`] to charge for *timing* —
-//! exactly the split a cycle-level simulator needs. Divergence appears
-//! naturally when lanes of one warp return different effect kinds.
+//! A lane borrows its kernel (`Kernel::Lane<'k>` holds `&'k Kernel` where
+//! it needs the launch parameters), so per-lane state is only the
+//! thread's own registers. Each time the executor picks a warp, it calls
+//! [`Lane::step`] on every active lane in lockstep; the lane performs the
+//! *functional* part of one instruction (reading device memory through the
+//! [`MemView`], updating its private state) and returns the [`Effect`] to
+//! charge for *timing* — exactly the split a cycle-level simulator needs.
+//! Divergence appears naturally when lanes of one warp return different
+//! effect kinds.
 
 /// What one lane did in one step.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -80,12 +83,8 @@ impl<'a> MemView<'a> {
     #[inline]
     pub fn read_u32(&self, addr: u64) -> u32 {
         let i = addr as usize;
-        u32::from_le_bytes([
-            self.data[i],
-            self.data[i + 1],
-            self.data[i + 2],
-            self.data[i + 3],
-        ])
+        let bytes: [u8; 4] = self.data[i..i + 4].try_into().expect("4-byte range");
+        u32::from_le_bytes(bytes)
     }
 
     /// Load a little-endian `i32`.
@@ -97,9 +96,9 @@ impl<'a> MemView<'a> {
     /// Load a little-endian `u64`.
     #[inline]
     pub fn read_u64(&self, addr: u64) -> u64 {
-        let lo = self.read_u32(addr) as u64;
-        let hi = self.read_u32(addr + 4) as u64;
-        (hi << 32) | lo
+        let i = addr as usize;
+        let bytes: [u8; 8] = self.data[i..i + 8].try_into().expect("8-byte range");
+        u64::from_le_bytes(bytes)
     }
 }
 
@@ -112,11 +111,15 @@ pub trait Lane: Send {
 
 /// A launchable kernel: a lane factory.
 pub trait Kernel: Sync {
-    type Lane: Lane;
+    /// One thread's state. It may borrow the kernel for the launch instead
+    /// of copying its parameters into every lane.
+    type Lane<'k>: Lane
+    where
+        Self: 'k;
 
     /// Create the lane for global thread `tid` of `total` (`total` is the
     /// active thread count — the grid-stride denominator).
-    fn spawn(&self, tid: usize, total: usize) -> Self::Lane;
+    fn spawn(&self, tid: usize, total: usize) -> Self::Lane<'_>;
 
     /// The kernel's declared [`crate::verifier::AccessContract`] for this launch geometry,
     /// if it carries one. Kernels without a contract cannot launch on a

@@ -51,6 +51,8 @@ pub mod pool;
 pub mod primitives;
 pub mod profiler;
 pub mod sanitizer;
+#[cfg(test)]
+mod test_rng;
 pub mod trace;
 pub mod verifier;
 

@@ -1005,7 +1005,7 @@ pub mod selftest {
     }
 
     impl Kernel for OobReadKernel {
-        type Lane = OneShotLane;
+        type Lane<'k> = OneShotLane;
         fn spawn(&self, tid: usize, _total: usize) -> OneShotLane {
             OneShotLane {
                 effect: (tid == 0).then_some(Effect::Read {
@@ -1025,7 +1025,7 @@ pub mod selftest {
     }
 
     impl Kernel for UninitReadKernel {
-        type Lane = OneShotLane;
+        type Lane<'k> = OneShotLane;
         fn spawn(&self, tid: usize, _total: usize) -> OneShotLane {
             OneShotLane {
                 effect: (tid == 0).then_some(Effect::Read {
@@ -1044,7 +1044,7 @@ pub mod selftest {
     }
 
     impl Kernel for RaceKernel {
-        type Lane = OneShotLane;
+        type Lane<'k> = OneShotLane;
         fn spawn(&self, tid: usize, _total: usize) -> OneShotLane {
             OneShotLane {
                 effect: Some(Effect::Write {
@@ -1063,7 +1063,7 @@ pub mod selftest {
     }
 
     impl Kernel for ReadWriteRaceKernel {
-        type Lane = OneShotLane;
+        type Lane<'k> = OneShotLane;
         fn spawn(&self, tid: usize, _total: usize) -> OneShotLane {
             let (addr, bytes) = (self.slot.addr(), 8);
             OneShotLane {
@@ -1093,7 +1093,7 @@ pub mod selftest {
     }
 
     impl Kernel for HashOobProbeKernel {
-        type Lane = OneShotLane;
+        type Lane<'k> = OneShotLane;
         fn spawn(&self, tid: usize, _total: usize) -> OneShotLane {
             OneShotLane {
                 effect: (tid == 0).then_some(Effect::SharedRead {
@@ -1217,6 +1217,7 @@ mod tests {
     use super::*;
 
     use crate::executor::AccessHook;
+    use crate::test_rng::Lcg;
 
     /// The streamed path over a recorded access set: `accesses` split into
     /// `sms` consecutive per-SM streams (the executor's SM-index order),
@@ -1587,27 +1588,12 @@ mod tests {
         assert_eq!(findings[0].lane, Some(2));
     }
 
-    /// Hand-rolled LCG (the repo's usual constant): every run draws the
-    /// same access sets.
-    struct Lcg(u64);
-
-    impl Lcg {
-        fn next(&mut self) -> u64 {
-            self.0 = self.0.wrapping_mul(6364136223846793005).wrapping_add(1);
-            self.0 >> 16
-        }
-
-        fn below(&mut self, n: u64) -> u64 {
-            self.next() % n
-        }
-    }
-
     /// A random shadow (some allocations partly initialized, some freed)
     /// and a random access set over it: widths 1–64 B, a hot window where
     /// lanes' reads and stores overlap, scratch accesses, and stats that
     /// can trip both lints.
     fn random_launch(case: u64) -> (Shadow, Vec<Access>, KernelStats) {
-        let mut rng = Lcg(0x9E37_79B9_7F4A_7C15 ^ case.wrapping_mul(0xBF58_476D_1CE4_E5B9));
+        let mut rng = Lcg::for_case(case);
         let mode = if case.is_multiple_of(3) {
             SanitizerMode::Paranoid
         } else {

@@ -817,7 +817,7 @@ pub mod selftest {
     }
 
     impl Kernel for NarrowFootprintKernel {
-        type Lane = OneShotLane;
+        type Lane<'k> = OneShotLane;
         fn spawn(&self, tid: usize, _total: usize) -> OneShotLane {
             OneShotLane {
                 effect: (tid == 0).then_some(Effect::Read {
@@ -843,7 +843,7 @@ pub mod selftest {
     }
 
     impl Kernel for FalseDisjointKernel {
-        type Lane = OneShotLane;
+        type Lane<'k> = OneShotLane;
         fn spawn(&self, tid: usize, _total: usize) -> OneShotLane {
             OneShotLane {
                 effect: Some(Effect::Write {
@@ -872,7 +872,7 @@ pub mod selftest {
     }
 
     impl Kernel for BudgetLieKernel {
-        type Lane = OneShotLane;
+        type Lane<'k> = OneShotLane;
         fn spawn(&self, tid: usize, _total: usize) -> OneShotLane {
             OneShotLane {
                 effect: (tid == 0).then_some(Effect::SharedWrite {
@@ -907,7 +907,7 @@ pub mod selftest {
     }
 
     impl Kernel for StaticOobKernel {
-        type Lane = OneShotLane;
+        type Lane<'k> = OneShotLane;
         fn spawn(&self, tid: usize, _total: usize) -> OneShotLane {
             OneShotLane {
                 effect: (tid == 0).then_some(Effect::Read {

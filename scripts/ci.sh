@@ -185,4 +185,12 @@ echo "==> benchmark self-test"
 # including the sanitized and verified counts of the checked workload.
 cargo test --release --offline --manifest-path perfledger/Cargo.toml
 
+echo "==> bench-scale modeled pin"
+# The gates above recompute modeled numbers only at smoke scale. One
+# cold-skewed pass at bench scale and the default seed recomputes all 12
+# of its counts; the run exits nonzero if any modeled ms drifts from its
+# BENCH_6.json cell. About 30 s.
+cargo run --release --offline --quiet --manifest-path perfledger/Cargo.toml -- \
+    --workload cold-skewed --seconds 1 --trace 0 > /dev/null
+
 echo "==> ci OK"
