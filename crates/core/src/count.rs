@@ -234,44 +234,26 @@ impl Backend {
     /// host wall time. Telemetry classes modeled timings as deterministic
     /// metrics; host-measured CPU timings go in the advisory section.
     pub fn is_modeled(&self) -> bool {
-        matches!(
-            self,
-            Backend::Gpu(_)
-                | Backend::MultiGpu { .. }
-                | Backend::GpuSplit { .. }
-                | Backend::Cluster { .. }
-        )
+        self.options().is_some()
     }
 
-    /// The scheduling knob of the backend's GPU options, if it has one.
-    fn schedule_mut(&mut self) -> Option<&mut KernelSchedule> {
+    /// The backend's GPU options (`None` for CPU backends).
+    fn options(&self) -> Option<&GpuOptions> {
         match self {
-            Backend::Gpu(o) => Some(&mut o.schedule),
-            Backend::MultiGpu { options, .. }
+            Backend::Gpu(options)
+            | Backend::MultiGpu { options, .. }
             | Backend::GpuSplit { options, .. }
-            | Backend::Cluster { options, .. } => Some(&mut options.schedule),
+            | Backend::Cluster { options, .. } => Some(options),
             _ => None,
         }
     }
 
-    /// The reorder knob of the backend's GPU options, if it has one.
-    fn reorder_mut(&mut self) -> Option<&mut bool> {
+    fn options_mut(&mut self) -> Option<&mut GpuOptions> {
         match self {
-            Backend::Gpu(o) => Some(&mut o.reorder),
-            Backend::MultiGpu { options, .. }
+            Backend::Gpu(options)
+            | Backend::MultiGpu { options, .. }
             | Backend::GpuSplit { options, .. }
-            | Backend::Cluster { options, .. } => Some(&mut options.reorder),
-            _ => None,
-        }
-    }
-
-    /// The sanitizer knob of the backend's GPU options, if it has one.
-    fn sanitizer_mut(&mut self) -> Option<&mut SanitizerMode> {
-        match self {
-            Backend::Gpu(o) => Some(&mut o.sanitizer),
-            Backend::MultiGpu { options, .. }
-            | Backend::GpuSplit { options, .. }
-            | Backend::Cluster { options, .. } => Some(&mut options.sanitizer),
+            | Backend::Cluster { options, .. } => Some(options),
             _ => None,
         }
     }
@@ -279,59 +261,24 @@ impl Backend {
     /// Set the sanitizer mode on a GPU backend. Returns whether the
     /// backend has a sanitizer knob (CPU backends do not).
     pub fn set_sanitizer(&mut self, mode: SanitizerMode) -> bool {
-        match self.sanitizer_mut() {
-            Some(slot) => {
-                *slot = mode;
-                true
-            }
-            None => false,
-        }
+        self.options_mut().map(|o| o.sanitizer = mode).is_some()
     }
 
     /// The backend's sanitizer mode (`Off` for CPU backends).
     pub fn sanitizer(&self) -> SanitizerMode {
-        match self {
-            Backend::Gpu(o) => o.sanitizer,
-            Backend::MultiGpu { options, .. }
-            | Backend::GpuSplit { options, .. }
-            | Backend::Cluster { options, .. } => options.sanitizer,
-            _ => SanitizerMode::Off,
-        }
-    }
-
-    /// The verifier knob of the backend's GPU options, if it has one.
-    fn verify_mut(&mut self) -> Option<&mut bool> {
-        match self {
-            Backend::Gpu(o) => Some(&mut o.verify),
-            Backend::MultiGpu { options, .. }
-            | Backend::GpuSplit { options, .. }
-            | Backend::Cluster { options, .. } => Some(&mut options.verify),
-            _ => None,
-        }
+        self.options().map_or(SanitizerMode::Off, |o| o.sanitizer)
     }
 
     /// Toggle the static launch verifier on a GPU backend. Returns whether
     /// the backend has a verifier knob (CPU backends do not).
     pub fn set_verify(&mut self, on: bool) -> bool {
-        match self.verify_mut() {
-            Some(slot) => {
-                *slot = on;
-                true
-            }
-            None => false,
-        }
+        self.options_mut().map(|o| o.verify = on).is_some()
     }
 
     /// Whether the backend runs the static launch verifier (`false` for
     /// CPU backends).
     pub fn verify(&self) -> bool {
-        match self {
-            Backend::Gpu(o) => o.verify,
-            Backend::MultiGpu { options, .. }
-            | Backend::GpuSplit { options, .. }
-            | Backend::Cluster { options, .. } => options.verify,
-            _ => false,
-        }
+        self.options().is_some_and(|o| o.verify)
     }
 }
 
@@ -381,6 +328,12 @@ fn device_token(name: &str) -> Option<&'static str> {
     }
 }
 
+/// The device part of a GPU backend token: the preset's canonical token,
+/// or `gpu:<name>` for a non-preset device.
+fn device_label(o: &GpuOptions) -> String {
+    device_token(o.device.name).map_or_else(|| format!("gpu:{}", o.device.name), String::from)
+}
+
 /// The device preset for a canonical token.
 fn device_for_token(token: &str) -> Option<DeviceConfig> {
     match token {
@@ -398,64 +351,40 @@ impl fmt::Display for Backend {
     /// `gpu:<name>`, which is informational only.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Backend::CpuForward => f.write_str("forward"),
-            Backend::CpuEdgeIterator => f.write_str("edge-iterator"),
-            Backend::CpuNodeIterator => f.write_str("node-iterator"),
-            Backend::CpuForwardHashed => f.write_str("hashed"),
-            Backend::CpuParallel => f.write_str("parallel"),
-            Backend::CpuHybrid { threshold: None } => f.write_str("hybrid"),
-            Backend::CpuHybrid { threshold: Some(t) } => write!(f, "hybrid:{t}"),
-            Backend::Gpu(o) => {
-                match device_token(o.device.name) {
-                    Some(tok) => f.write_str(tok)?,
-                    None => write!(f, "gpu:{}", o.device.name)?,
-                }
-                f.write_str(&o.schedule.token_suffix())?;
-                f.write_str(reorder_suffix(o.reorder))?;
-                f.write_str(sanitize_suffix(o.sanitizer))?;
-                f.write_str(verify_suffix(o.verify))
-            }
+            Backend::CpuForward => f.write_str("forward")?,
+            Backend::CpuEdgeIterator => f.write_str("edge-iterator")?,
+            Backend::CpuNodeIterator => f.write_str("node-iterator")?,
+            Backend::CpuForwardHashed => f.write_str("hashed")?,
+            Backend::CpuParallel => f.write_str("parallel")?,
+            Backend::CpuHybrid { threshold: None } => f.write_str("hybrid")?,
+            Backend::CpuHybrid { threshold: Some(t) } => write!(f, "hybrid:{t}")?,
+            Backend::Gpu(o) => f.write_str(&device_label(o))?,
             Backend::MultiGpu { options, devices } => {
-                match device_token(options.device.name) {
-                    Some(tok) => write!(f, "{devices}x{tok}")?,
-                    None => write!(f, "{devices}xgpu:{}", options.device.name)?,
-                }
-                f.write_str(&options.schedule.token_suffix())?;
-                f.write_str(reorder_suffix(options.reorder))?;
-                f.write_str(sanitize_suffix(options.sanitizer))?;
-                f.write_str(verify_suffix(options.verify))
+                write!(f, "{devices}x{}", device_label(options))?
             }
             Backend::GpuSplit { options, parts } => {
-                match device_token(options.device.name) {
-                    Some(tok) => write!(f, "{tok}/split:{parts}")?,
-                    None => write!(f, "gpu:{}/split:{parts}", options.device.name)?,
-                }
-                f.write_str(&options.schedule.token_suffix())?;
-                f.write_str(reorder_suffix(options.reorder))?;
-                f.write_str(sanitize_suffix(options.sanitizer))?;
-                f.write_str(verify_suffix(options.verify))
+                write!(f, "{}/split:{parts}", device_label(options))?
             }
             Backend::Cluster {
                 options,
                 nodes,
                 devices_per_node,
                 partition,
-            } => {
-                write!(
-                    f,
-                    "cluster:{nodes}x{devices_per_node}{}",
-                    partition.token_suffix()
-                )?;
-                match device_token(options.device.name) {
-                    Some(tok) => write!(f, "/{tok}")?,
-                    None => write!(f, "/gpu:{}", options.device.name)?,
-                }
-                f.write_str(&options.schedule.token_suffix())?;
-                f.write_str(reorder_suffix(options.reorder))?;
-                f.write_str(sanitize_suffix(options.sanitizer))?;
-                f.write_str(verify_suffix(options.verify))
-            }
+            } => write!(
+                f,
+                "cluster:{nodes}x{devices_per_node}{}/{}",
+                partition.token_suffix(),
+                device_label(options)
+            )?,
         }
+        // Every GPU form shares the suffix chain, in its canonical order.
+        if let Some(o) = self.options() {
+            f.write_str(&o.schedule.token_suffix())?;
+            f.write_str(reorder_suffix(o.reorder))?;
+            f.write_str(sanitize_suffix(o.sanitizer))?;
+            f.write_str(verify_suffix(o.verify))?;
+        }
+        Ok(())
     }
 }
 
@@ -547,7 +476,7 @@ impl FromStr for Backend {
                 return Err(err());
             }
             let mut backend: Backend = s[..pos].parse().map_err(|_| err())?;
-            *backend.verify_mut().ok_or_else(err)? = true;
+            backend.options_mut().ok_or_else(err)?.verify = true;
             return Ok(backend);
         }
         // Then the sanitizer suffix — last before `/verify` in every
@@ -556,7 +485,7 @@ impl FromStr for Backend {
         if let Some(pos) = s.find("/sanitize") {
             let mode = parse_sanitize_clause(&s[pos + 1..]).ok_or_else(err)?;
             let mut backend: Backend = s[..pos].parse().map_err(|_| err())?;
-            *backend.sanitizer_mut().ok_or_else(err)? = mode;
+            backend.options_mut().ok_or_else(err)?.sanitizer = mode;
             return Ok(backend);
         }
         // Then `/reorder`, which canonically sits between the scheduling
@@ -568,7 +497,7 @@ impl FromStr for Backend {
                 return Err(err());
             }
             let mut backend: Backend = s[..pos].parse().map_err(|_| err())?;
-            *backend.reorder_mut().ok_or_else(err)? = true;
+            backend.options_mut().ok_or_else(err)?.reorder = true;
             return Ok(backend);
         }
         // Then the scheduling suffix: it composes with every GPU form
@@ -576,7 +505,7 @@ impl FromStr for Backend {
         if let Some(pos) = s.find("/balanced") {
             let schedule = KernelSchedule::parse_clause(&s[pos + 1..]).ok_or_else(err)?;
             let mut backend: Backend = s[..pos].parse().map_err(|_| err())?;
-            *backend.schedule_mut().ok_or_else(err)? = schedule;
+            backend.options_mut().ok_or_else(err)?.schedule = schedule;
             return Ok(backend);
         }
         match s {

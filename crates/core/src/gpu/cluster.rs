@@ -37,21 +37,19 @@
 use std::fmt;
 
 use tc_graph::{Csr, EdgeArray, Orientation};
-use tc_simt::primitives::{charge_transform_pass, reduce_sum_u64, sort_u64};
 use tc_simt::profiler::{relative_spans, ProfileReport, RelSpan};
 use tc_simt::{
-    Cluster, ClusterTopology, DeviceBuffer, Interconnect, KernelStats, LaunchConfig,
-    SanitizerReport, VerifierReport,
+    Cluster, ClusterTopology, Interconnect, KernelStats, LaunchConfig, SanitizerReport,
+    VerifierReport,
 };
 
 use crate::count::GpuOptions;
 use crate::error::{CoreError, ErrorContext};
-use crate::gpu::count_kernel::{CountKernel, KernelArrays};
+use crate::gpu::count_kernel::KernelArrays;
 use crate::gpu::pipeline::RunTrace;
-use crate::gpu::schedule::{bin_specs, Bin, BinPlan};
-use crate::gpu::warp_centric::{
-    hash_scratch_len, hash_shared_slots, IntersectStrategy, WarpCentricKernel,
-};
+use crate::gpu::prepared::PreparedCount;
+use crate::gpu::schedule::build_plan;
+use crate::gpu::shard::{launch_geometry, merge_checks, CountWindow, Scope, Shard};
 use crate::gpu::EdgeLayout;
 
 /// How the oriented arcs are split across the cluster's devices.
@@ -232,19 +230,6 @@ fn build_shards(
         .collect()
 }
 
-/// One shard resident on its device.
-#[derive(Debug)]
-struct ShardOnDevice {
-    m: usize,
-    eu: DeviceBuffer<u32>,
-    ev: DeviceBuffer<u32>,
-    node: DeviceBuffer<u32>,
-    nbr: DeviceBuffer<u32>,
-    result: DeviceBuffer<u64>,
-    plan: Option<BinPlan>,
-    hash_scratch: Option<DeviceBuffer<u32>>,
-}
-
 /// A graph sharded across a simulated cluster, ready to serve counts —
 /// the cluster analog of [`super::prepared::PreparedGraph`].
 #[derive(Debug)]
@@ -252,34 +237,15 @@ pub struct PreparedCluster {
     cluster: Cluster,
     opts: GpuOptions,
     partition: ClusterPartition,
-    lc: LaunchConfig,
-    total_threads: usize,
-    shards: Vec<ShardOnDevice>,
+    /// One resident shard per device, flat device order: the gathered
+    /// local endpoint arrays, the sub-CSR, the bin plan and count buffers.
+    shards: Vec<Shard>,
     per_shard_arcs: Vec<usize>,
     imbalance: f64,
     digest: u64,
     prepare_s: f64,
     prepare_trace: Vec<RelSpan>,
     counts_served: u64,
-}
-
-/// One count served from a [`PreparedCluster`]: the per-shard kernel
-/// phases plus the internode merge.
-#[derive(Clone, Debug)]
-pub struct ClusterCount {
-    pub triangles: u64,
-    /// Modeled seconds of this count: the slowest shard's kernel + reduce
-    /// + merge-message window (shards run in parallel).
-    pub count_s: f64,
-    /// Per-shard modeled seconds, flat device order.
-    pub per_shard_s: Vec<f64>,
-    /// The slowest kernel launch across every shard and bin.
-    pub kernel: KernelStats,
-    /// Merged per-shard profile of exactly this count's ops.
-    pub profile: ProfileReport,
-    /// Per-shard spans on a clock-base-free relative timeline, flat device
-    /// order (paths `shard-count/...`, `internode-merge`).
-    pub trace: Vec<RelSpan>,
 }
 
 impl PreparedCluster {
@@ -308,15 +274,7 @@ impl PreparedCluster {
         }
         cluster.reset_clocks();
 
-        let lc = opts
-            .launch
-            .unwrap_or_else(|| cluster.device(0).config().paper_launch());
-        let lc = LaunchConfig {
-            blocks: lc.blocks * opts.warp_split,
-            threads_per_block: lc.threads_per_block,
-            warp_split: opts.warp_split,
-        };
-        let total_threads = lc.active_threads(cluster.device(0).config().warp_size);
+        let (lc, _) = launch_geometry(opts, cluster.device(0).config());
 
         // ---- global orientation on the host ----
         // The cluster front-end plays DistTC's distributed loader: the
@@ -345,7 +303,9 @@ impl PreparedCluster {
         // ---- per-shard upload + schedule ----
         let mut shards = Vec::with_capacity(host_shards.len());
         for (i, hs) in host_shards.iter().enumerate() {
-            let built = upload_shard(&mut cluster, i, hs, opts, total_threads);
+            cluster.device_mut(i).push_phase("shard-partition");
+            let built = upload_shard(&mut cluster, i, hs, opts, lc);
+            cluster.device_mut(i).pop_phase();
             let built = built.map_err(|e| {
                 e.with_context(ErrorContext {
                     device: Some(format!(
@@ -372,8 +332,6 @@ impl PreparedCluster {
             cluster,
             opts: opts.clone(),
             partition,
-            lc,
-            total_threads,
             shards,
             per_shard_arcs,
             imbalance,
@@ -386,34 +344,29 @@ impl PreparedCluster {
 
     /// Run the counting phase: every shard dispatches its kernels (bin
     /// plan or single gathered launch), reduces, and sends its partial to
-    /// the merge in flat device-index order.
-    pub fn count(&mut self) -> Result<ClusterCount, CoreError> {
-        let s = self.shards.len();
-        let span_marks: Vec<usize> = (0..s)
-            .map(|i| self.cluster.device(i).spans().len())
-            .collect();
-        let log_marks: Vec<usize> = (0..s)
-            .map(|i| self.cluster.device(i).time_log().len())
-            .collect();
-        let counters0: Vec<_> = (0..s).map(|i| *self.cluster.device(i).counters()).collect();
-
+    /// the merge in flat device-index order. [`PreparedCount::kernel`] is
+    /// the slowest launch across every shard and bin.
+    pub fn count(&mut self) -> Result<PreparedCount, CoreError> {
+        let windows: Vec<CountWindow> = self.cluster.iter().map(CountWindow::open).collect();
         let mut triangles = 0u64;
         let mut slowest: Option<KernelStats> = None;
-        for i in 0..s {
-            self.cluster.device_mut(i).push_phase("shard-count");
-            let counted = self.count_shard(i);
-            let (t, stats) = match counted {
-                Ok(pair) => pair,
-                Err(e) => {
-                    self.cluster.device_mut(i).pop_phase();
-                    return Err(e.with_context(ErrorContext {
-                        device: Some(self.cluster.device(i).config().name.to_string()),
-                        phase: Some("shard-count".into()),
-                        ..Default::default()
-                    }));
-                }
+        for (i, shard) in self.shards.iter().enumerate() {
+            let dev = self.cluster.device_mut(i);
+            dev.push_phase("shard-count");
+            // An empty shard launches nothing.
+            let counted = if shard.m == 0 {
+                Ok((0, None))
+            } else {
+                shard.count(dev, &self.opts, (0, 1))
             };
-            self.cluster.device_mut(i).pop_phase();
+            dev.pop_phase();
+            let (t, stats) = counted.map_err(|e| {
+                e.with_context(ErrorContext {
+                    device: Some(dev.config().name.to_string()),
+                    phase: Some("shard-count".into()),
+                    ..Default::default()
+                })
+            })?;
             // Deterministic merge: partials sum in flat device-index order
             // (u64 addition is associative, but the fixed order keeps the
             // *protocol* — and so every charged message — identical across
@@ -427,7 +380,7 @@ impl PreparedCluster {
         }
         // The merge: each shard off node 0 sends its 8-byte partial over
         // the interconnect (one message; latency-dominated).
-        for i in 0..s {
+        for i in 0..self.shards.len() {
             self.cluster.device_mut(i).push_phase("internode-merge");
             self.cluster
                 .charge_internode(i, 8, "internode: result send");
@@ -435,165 +388,37 @@ impl PreparedCluster {
         }
         self.counts_served += 1;
 
-        // Per-shard modeled seconds: sum of this count's op durations —
-        // clock-base-free, like the single-device path.
-        let per_shard_s: Vec<f64> = (0..s)
-            .map(|i| {
-                self.cluster.device(i).time_log()[log_marks[i]..]
-                    .iter()
-                    .map(|op| op.seconds)
-                    .sum()
-            })
-            .collect();
-        let count_s = per_shard_s.iter().copied().fold(0.0, f64::max);
-        let profiles: Vec<ProfileReport> = (0..s)
-            .map(|i| {
-                let dev = self.cluster.device(i);
-                ProfileReport {
-                    device: dev.config().name.to_string(),
-                    peak_bandwidth_gbs: dev.config().dram_bandwidth_gbs,
-                    devices: 1,
-                    total_s: per_shard_s[i],
-                    totals: dev.counters().delta(&counters0[i]),
-                    spans: dev.spans()[span_marks[i]..].to_vec(),
-                }
-            })
-            .collect();
-        let trace: Vec<RelSpan> = (0..s)
-            .flat_map(|i| {
-                let dev = self.cluster.device(i);
-                relative_spans(dev.spans(), dev.time_log(), span_marks[i], log_marks[i])
-            })
-            .collect();
-        Ok(ClusterCount {
+        let (profiles, traces): (Vec<ProfileReport>, Vec<Vec<RelSpan>>) = windows
+            .iter()
+            .zip(self.cluster.iter())
+            .map(|(w, dev)| w.close(dev))
+            .unzip();
+        let per_shard_s: Vec<f64> = profiles.iter().map(|p| p.total_s).collect();
+        Ok(PreparedCount {
             triangles,
-            count_s,
+            count_s: per_shard_s.iter().copied().fold(0.0, f64::max),
             per_shard_s,
             kernel: slowest.unwrap_or_default(),
             profile: ProfileReport::merged(&profiles),
-            trace,
+            trace: traces.concat(),
         })
-    }
-
-    /// Dispatch one shard's kernels; returns its partial count and the
-    /// slowest launch (if any ran — empty shards launch nothing).
-    fn count_shard(&mut self, i: usize) -> Result<(u64, Option<KernelStats>), CoreError> {
-        let shard = &self.shards[i];
-        let (m, eu, ev, node, nbr, result) = (
-            shard.m,
-            shard.eu,
-            shard.ev,
-            shard.node,
-            shard.nbr,
-            shard.result,
-        );
-        let (plan, hash_scratch) = (shard.plan.clone(), shard.hash_scratch);
-        let lc = self.lc;
-        let total_threads = self.total_threads;
-        let dev = self.cluster.device_mut(i);
-        if m == 0 {
-            return Ok((0, None));
-        }
-        let mut triangles = 0u64;
-        let mut slowest: Option<KernelStats> = None;
-        let dispatch = |dev: &mut tc_simt::Device,
-                        eu: DeviceBuffer<u32>,
-                        ev: DeviceBuffer<u32>,
-                        bin: Bin|
-         -> Result<KernelStats, CoreError> {
-            dev.poke(&result, &vec![0u64; total_threads]);
-            if bin.width == 1 {
-                let kernel = CountKernel {
-                    arrays: KernelArrays::Gathered { eu, ev, adj: nbr },
-                    node,
-                    result,
-                    offset: bin.start,
-                    count: bin.len,
-                    variant: self.opts.kernel,
-                    use_texture_cache: self.opts.use_texture_cache,
-                };
-                Ok(dev.with_phase("count-kernel", |d| {
-                    d.launch("CountTriangles(shard)", lc, &kernel)
-                })?)
-            } else {
-                let kernel = WarpCentricKernel {
-                    adj: nbr,
-                    edge_u: eu,
-                    edge_v: ev,
-                    node,
-                    result,
-                    offset: bin.start,
-                    count: bin.len,
-                    virtual_warp: bin.width,
-                    use_texture_cache: self.opts.use_texture_cache,
-                    strategy: if bin.hash {
-                        IntersectStrategy::Hash
-                    } else {
-                        IntersectStrategy::ChunkScan
-                    },
-                    scratch: if bin.hash { hash_scratch } else { None },
-                    shared_slots: if bin.hash {
-                        hash_shared_slots(dev.config(), lc.threads_per_block, bin.width)
-                    } else {
-                        0
-                    },
-                };
-                let label = if bin.hash {
-                    "CountTrianglesWarpHash(shard)"
-                } else {
-                    "CountTrianglesWarp(shard)"
-                };
-                Ok(dev.with_phase("count-kernel", |d| d.launch(label, lc, &kernel))?)
-            }
-        };
-        match plan {
-            Some(plan) => {
-                for bin in plan.occupied() {
-                    let stats = dispatch(dev, plan.eu, plan.ev, *bin)?;
-                    triangles += dev.with_phase("reduce", |d| reduce_sum_u64(d, &result));
-                    if slowest.as_ref().is_none_or(|s| stats.time_s > s.time_s) {
-                        slowest = Some(stats);
-                    }
-                }
-            }
-            None => {
-                let whole = Bin {
-                    start: 0,
-                    len: m,
-                    width: 1,
-                    hash: false,
-                };
-                let stats = dispatch(dev, eu, ev, whole)?;
-                triangles += dev.with_phase("reduce", |d| reduce_sum_u64(d, &result));
-                slowest = Some(stats);
-            }
-        }
-        Ok((triangles, slowest))
     }
 
     /// Free every device buffer on every shard. The cluster's devices are
     /// dropped with the session (unlike the single-device path there is no
     /// pool to hand them back to — a cluster session owns its devices).
     pub fn release(mut self) -> Result<(), CoreError> {
-        for i in 0..self.shards.len() {
-            let shard = &mut self.shards[i];
-            let plan = shard.plan.take();
-            let scratch = shard.hash_scratch.take();
-            let (eu, ev, node, nbr, result) =
-                (shard.eu, shard.ev, shard.node, shard.nbr, shard.result);
+        for (i, shard) in self.shards.into_iter().enumerate() {
             let dev = self.cluster.device_mut(i);
-            if let Some(plan) = plan {
-                dev.free(plan.eu)?;
-                dev.free(plan.ev)?;
-            }
-            if let Some(scratch) = scratch {
-                dev.free(scratch)?;
-            }
-            dev.free(result)?;
+            let KernelArrays::Gathered { eu, ev, adj } = shard.arrays else {
+                unreachable!("cluster shards count gathered endpoint arrays")
+            };
+            let node = shard.node;
+            shard.free(dev)?;
             dev.free(eu)?;
             dev.free(ev)?;
             dev.free(node)?;
-            dev.free(nbr)?;
+            dev.free(adj)?;
         }
         Ok(())
     }
@@ -669,31 +494,21 @@ impl PreparedCluster {
     /// Merged sanitizer findings across every shard device, flat device
     /// order (`None` when the sanitizer is off).
     pub fn sanitizer_report(&self) -> Option<SanitizerReport> {
-        let reports: Vec<SanitizerReport> = self
-            .cluster
-            .iter()
-            .filter_map(|d| d.sanitizer_report())
-            .collect();
-        if reports.is_empty() {
-            None
-        } else {
-            Some(SanitizerReport::merged(&reports))
-        }
+        self.check_reports().0
     }
 
     /// Merged static launch-verifier reports across every shard device,
     /// flat device order (`None` when the verifier is off).
     pub fn verifier_report(&self) -> Option<VerifierReport> {
-        let reports: Vec<VerifierReport> = self
-            .cluster
-            .iter()
-            .filter_map(|d| d.verifier_report())
-            .collect();
-        if reports.is_empty() {
-            None
-        } else {
-            Some(VerifierReport::merged(&reports))
-        }
+        self.check_reports().1
+    }
+
+    fn check_reports(&self) -> (Option<SanitizerReport>, Option<VerifierReport>) {
+        merge_checks(
+            self.cluster
+                .iter()
+                .map(|d| (d.sanitizer_report(), d.verifier_report())),
+        )
     }
 
     /// Per-device traces (for `--trace` / `--profile` on cluster runs).
@@ -730,140 +545,33 @@ fn reorder_ranks(g: &EdgeArray) -> Vec<u32> {
 
 /// Upload one shard and build its device-resident state: endpoint + CSR
 /// arrays (interconnect charged for nodes past the first), the per-shard
-/// bin plan (same charged passes as the single-device scheduler), the
-/// result array, and hash scratch if the plan needs it.
+/// bin plan (the same builder and charged passes as the single-device
+/// scheduler, over the shard's local endpoint arrays), the result array,
+/// and hash scratch if the plan needs it.
 fn upload_shard(
     cluster: &mut Cluster,
     i: usize,
     hs: &HostShard,
     opts: &GpuOptions,
-    total_threads: usize,
-) -> Result<ShardOnDevice, CoreError> {
-    let m = hs.arcs();
-    cluster.device_mut(i).push_phase("shard-partition");
-    let out = upload_shard_inner(cluster, i, hs, opts, total_threads, m);
-    cluster.device_mut(i).pop_phase();
-    out
-}
-
-fn upload_shard_inner(
-    cluster: &mut Cluster,
-    i: usize,
-    hs: &HostShard,
-    opts: &GpuOptions,
-    total_threads: usize,
-    m: usize,
-) -> Result<ShardOnDevice, CoreError> {
+    lc: LaunchConfig,
+) -> Result<Shard, CoreError> {
     let eu = cluster.htod_scatter(i, &hs.eu)?;
     let ev = cluster.htod_scatter(i, &hs.ev)?;
     let node = cluster.htod_scatter(i, &hs.node)?;
     let nbr = cluster.htod_scatter(i, &hs.nbr)?;
-
-    // Per-shard bin plan: the same static tuner and the same charged
-    // binning passes as `schedule::build_plan`, over the shard's arrays.
-    let plan = build_shard_plan(cluster.device_mut(i), &hs.eu, &hs.ev, &hs.work, opts)?;
-
     let dev = cluster.device_mut(i);
-    let result = dev.alloc::<u64>(total_threads)?;
-    let scratch_len = plan.as_ref().and_then(|p| {
-        p.bins
-            .iter()
-            .filter(|b| b.hash && b.len > 0)
-            .map(|b| hash_scratch_len(total_threads, b.width))
-            .max()
-    });
-    let hash_scratch = match scratch_len {
-        Some(len) => Some(dev.alloc::<u32>(len)?),
-        None => None,
-    };
-    Ok(ShardOnDevice {
-        m,
-        eu,
-        ev,
+    let plan = build_plan(dev, &hs.eu, &hs.ev, &hs.work, opts.schedule)?;
+    let arrays = KernelArrays::Gathered { eu, ev, adj: nbr };
+    Ok(Shard::alloc(
+        dev,
+        Scope::Shard,
+        lc,
         node,
         nbr,
-        result,
+        arrays,
+        hs.arcs(),
         plan,
-        hash_scratch,
-    })
-}
-
-/// The shard-local analog of [`crate::gpu::schedule::build_plan`]: same
-/// tuner, same charged passes (work-estimate keys, radix sort, gather),
-/// over the shard's local endpoint arrays.
-fn build_shard_plan(
-    dev: &mut tc_simt::Device,
-    eu: &[u32],
-    ev: &[u32],
-    work: &[u32],
-    opts: &GpuOptions,
-) -> Result<Option<BinPlan>, CoreError> {
-    let m = work.len();
-    let Some(specs) = bin_specs(opts.schedule, work) else {
-        return Ok(None);
-    };
-    for spec in &specs {
-        assert!(
-            spec.width == 1 || dev.config().warp_size.is_multiple_of(spec.width),
-            "virtual-warp width {} must divide the warp size {}",
-            spec.width,
-            dev.config().warp_size
-        );
-    }
-    let mb = m as u64;
-    let keys = dev.alloc::<u64>(m)?;
-    let mut host_keys: Vec<u64> = work
-        .iter()
-        .enumerate()
-        .map(|(i, &w)| ((w as u64) << 32) | i as u64)
-        .collect();
-    dev.poke(&keys, &host_keys);
-    dev.with_phase("bin-sort", |d| {
-        charge_transform_pass(d, "schedule: work-estimate keys", mb * 24, mb * 8)
-    });
-    dev.with_phase("bin-sort", |d| sort_u64(d, &keys, m))?;
-    host_keys.sort_unstable();
-
-    let gathered_eu = dev.alloc::<u32>(m)?;
-    let gathered_ev = dev.alloc::<u32>(m)?;
-    let gathered_u: Vec<u32> = host_keys
-        .iter()
-        .map(|&k| eu[(k & 0xffff_ffff) as usize])
-        .collect();
-    let gathered_v: Vec<u32> = host_keys
-        .iter()
-        .map(|&k| ev[(k & 0xffff_ffff) as usize])
-        .collect();
-    dev.poke(&gathered_eu, &gathered_u);
-    dev.poke(&gathered_ev, &gathered_v);
-    dev.with_phase("bin-gather", |d| {
-        charge_transform_pass(d, "schedule: bin gather", mb * 16, mb * 8)
-    });
-    dev.free(keys)?;
-
-    let sorted_work: Vec<u32> = host_keys.iter().map(|&k| (k >> 32) as u32).collect();
-    let mut bins = Vec::with_capacity(specs.len());
-    let mut start = 0usize;
-    for (i, spec) in specs.iter().enumerate() {
-        let end = if i + 1 == specs.len() {
-            m
-        } else {
-            sorted_work.partition_point(|&w| w < spec.max_work)
-        };
-        bins.push(Bin {
-            start,
-            len: end - start,
-            width: spec.width,
-            hash: spec.hash,
-        });
-        start = end;
-    }
-    debug_assert_eq!(start, m, "bins must cover every shard arc");
-    Ok(Some(BinPlan {
-        eu: gathered_eu,
-        ev: gathered_ev,
-        bins,
-    }))
+    )?)
 }
 
 /// Results of a one-shot cluster run.
@@ -920,6 +628,7 @@ pub fn run_cluster_profiled(
     let mut prepared = PreparedCluster::prepare(g, opts, topology, partition)?;
     let count = prepared.count()?;
     let traces = prepared.run_traces();
+    let (sanitizer, verifier) = prepared.check_reports();
     let report = ClusterReport {
         triangles: count.triangles,
         total_s: prepared.prepare_s() + count.count_s,
@@ -929,13 +638,13 @@ pub fn run_cluster_profiled(
         devices_per_node: topology.devices_per_node,
         partition,
         per_shard_arcs: prepared.per_shard_arcs().to_vec(),
-        per_shard_s: count.per_shard_s.clone(),
+        per_shard_s: count.per_shard_s,
         per_shard_peak_bytes: prepared.per_shard_peak_bytes(),
         max_resident_bytes: prepared.max_resident_bytes(),
         imbalance: prepared.imbalance(),
         kernel: count.kernel,
-        sanitizer: prepared.sanitizer_report(),
-        verifier: prepared.verifier_report(),
+        sanitizer,
+        verifier,
     };
     prepared.release()?;
     Ok((report, traces))

@@ -2,12 +2,25 @@
 //!
 //! * [`preprocess`] — the eight-step preprocessing phase (§III-B) and the
 //!   CPU fallback for over-capacity graphs (§III-D6);
+//! * [`schedule`] — workload-balanced scheduling: the static auto-tuner and
+//!   the one bin-plan builder;
 //! * [`count_kernel`] — the `CountTriangles` kernel (§III-C) as a SIMT lane
 //!   program, with the §III-D optimization toggles;
+//! * [`warp_centric`] — the virtual-warp kernel of the balanced heavy bins
+//!   (chunk-scan and hash intersection);
+//! * `shard` — the one count executor every backend runs: one device's
+//!   resident arrays counted over a stripe of their edges, one launch and
+//!   one reduction per occupied bin;
+//! * [`prepared`] — the preprocess-once / count-many session on one device;
 //! * [`pipeline`] — the end-to-end measured run, following the paper's
 //!   protocol (§IV): clock from the host-to-device copy to the final
 //!   device-to-host copy and free;
-//! * [`multi`] — the multi-GPU extension (§III-E).
+//! * [`multi`] — the multi-GPU extension (§III-E): device `i` of `n` counts
+//!   stripe `(i, n)` of a broadcast copy;
+//! * [`split`] — the §VI vertex-range split for graphs beyond one device's
+//!   memory, one single-device session per subproblem;
+//! * [`cluster`] — DistTC-style sharding across a simulated multi-node
+//!   cluster, one shard per device.
 
 pub mod cluster;
 pub mod count_kernel;
@@ -16,6 +29,7 @@ pub mod pipeline;
 pub mod prepared;
 pub mod preprocess;
 pub mod schedule;
+mod shard;
 pub mod split;
 pub mod warp_centric;
 

@@ -7,19 +7,18 @@
 //! exposes exactly the quantities needed to check that.
 
 use tc_graph::EdgeArray;
-use tc_simt::primitives::reduce_sum_u64;
 use tc_simt::profiler::ProfileReport;
-use tc_simt::{DeviceGroup, KernelStats, LaunchConfig, SanitizerReport, VerifierReport};
+use tc_simt::{
+    Cluster, ClusterTopology, Interconnect, KernelStats, SanitizerReport, VerifierReport,
+};
 
 use crate::count::GpuOptions;
 use crate::error::CoreError;
-use crate::gpu::count_kernel::{CountKernel, KernelArrays};
+use crate::gpu::count_kernel::KernelArrays;
 use crate::gpu::pipeline::RunTrace;
 use crate::gpu::preprocess::preprocess_auto;
-use crate::gpu::schedule::build_plan;
-use crate::gpu::warp_centric::{
-    hash_scratch_len, hash_shared_slots, IntersectStrategy, WarpCentricKernel,
-};
+use crate::gpu::schedule::{plan_preprocessed, BinPlan};
+use crate::gpu::shard::{launch_geometry, merge_checks, Scope, Shard};
 use crate::gpu::EdgeLayout;
 
 /// Results of a multi-GPU run.
@@ -74,40 +73,36 @@ pub fn run_multi_gpu_profiled(
     let mut cfg = opts.device.clone();
     cfg.sanitizer = cfg.sanitizer.max(opts.sanitizer);
     cfg.verifier = cfg.verifier || opts.verify;
-    let mut group = DeviceGroup::homogeneous(&cfg, devices);
+    // One host: a 1×N cluster, whose node-0 devices charge no interconnect.
+    let mut group = Cluster::homogeneous(
+        ClusterTopology::new(1, devices),
+        Interconnect::default(),
+        &cfg,
+    );
     if opts.preinit_context {
         group.preinit_all();
     }
     group.reset_clocks();
+    let (lc, total_threads) = launch_geometry(opts, group.device(0).config());
 
     // Preprocess on device 0 only, reserving room for its result array.
-    let reserve = {
-        let dev0 = group.device(0);
-        let lc = opts.launch.unwrap_or_else(|| dev0.config().paper_launch());
-        LaunchConfig {
-            blocks: lc.blocks * opts.warp_split,
-            threads_per_block: lc.threads_per_block,
-            warp_split: opts.warp_split,
-        }
-        .active_threads(dev0.config().warp_size) as u64
-            * 8
-    };
-    group.device_mut(0).push_phase("preprocess");
-    let pre = preprocess_auto(group.device_mut(0), g, false, reserve, opts.reorder);
-    group.device_mut(0).pop_phase();
+    let dev0 = group.device_mut(0);
+    dev0.push_phase("preprocess");
+    let pre = preprocess_auto(dev0, g, false, total_threads as u64 * 8, opts.reorder);
+    dev0.pop_phase();
     let pre = pre?;
 
     // The balanced bin plan, built and charged on device 0 like the
     // preprocessing it extends.
-    group.device_mut(0).push_phase("schedule");
-    let plan = build_plan(group.device_mut(0), &pre, opts.schedule);
-    group.device_mut(0).pop_phase();
+    dev0.push_phase("schedule");
+    let plan = plan_preprocessed(dev0, &pre, opts.schedule);
+    dev0.pop_phase();
     let plan = plan?;
-    let preprocess_s = group.device(0).elapsed() + pre.host_seconds;
+    let preprocess_s = dev0.elapsed() + pre.host_seconds;
 
     // Broadcast the shared arrays (plus the gathered bin-ordered edge
     // copies under a balanced plan). Target clocks start accumulating here.
-    let t_before: Vec<f64> = (0..devices).map(|i| group.device(i).elapsed()).collect();
+    let t_before: Vec<f64> = group.iter().map(|d| d.elapsed()).collect();
     for i in 0..devices {
         group.device_mut(i).push_phase("broadcast");
     }
@@ -126,161 +121,63 @@ pub fn run_multi_gpu_profiled(
     // paper's scheme, of every occupied bin under a balanced plan (so each
     // device sees the same light/heavy mix and the stripes stay even).
     let mut triangles = 0u64;
-    let mut kernel_stats: Option<KernelStats> = None;
+    let mut kernel = KernelStats::default();
     for i in 0..devices {
         let dev = group.device_mut(i);
-        let lc = opts.launch.unwrap_or_else(|| dev.config().paper_launch());
-        let lc = LaunchConfig {
-            blocks: lc.blocks * opts.warp_split,
-            threads_per_block: lc.threads_per_block,
-            warp_split: opts.warp_split,
-        };
-        let total_threads = lc.active_threads(dev.config().warp_size);
         dev.push_phase("count");
-        let result = dev.alloc::<u64>(total_threads)?;
-        // Hash bins need per-device table scratch (each device runs its
-        // own stripe of every bin with the full launch geometry).
-        let scratch_len = plan.as_ref().and_then(|p| {
-            p.bins
-                .iter()
-                .filter(|b| b.hash && b.len > 0)
-                .map(|b| hash_scratch_len(total_threads, b.width))
-                .max()
-        });
-        let hash_scratch = match scratch_len {
-            Some(len) => Some(dev.alloc::<u32>(len)?),
-            None => None,
+        let device_plan = plan
+            .as_ref()
+            .zip(gathered.as_ref())
+            .map(|(p, (eu, ev))| BinPlan {
+                eu: eu[i],
+                ev: ev[i],
+                bins: p.bins.clone(),
+            });
+        let arrays = KernelArrays::SoA {
+            nbr: nbr[i],
+            owner: owner[i],
         };
-        match (&plan, &gathered) {
-            (Some(plan), Some((eu, ev))) => {
-                let mut slowest: Option<KernelStats> = None;
-                for bin in plan.occupied() {
-                    dev.poke(&result, &vec![0u64; total_threads]);
-                    let offset = bin.start + bin.len * i / devices;
-                    let count = bin.start + bin.len * (i + 1) / devices - offset;
-                    if count == 0 {
-                        continue;
-                    }
-                    let stats = if bin.width == 1 {
-                        let kernel = CountKernel {
-                            arrays: KernelArrays::Gathered {
-                                eu: eu[i],
-                                ev: ev[i],
-                                adj: nbr[i],
-                            },
-                            node: node[i],
-                            result,
-                            offset,
-                            count,
-                            variant: opts.kernel,
-                            use_texture_cache: opts.use_texture_cache,
-                        };
-                        dev.with_phase("count-kernel", |d| {
-                            d.launch("CountTriangles(bin stripe)", lc, &kernel)
-                        })?
-                    } else {
-                        let kernel = WarpCentricKernel {
-                            adj: nbr[i],
-                            edge_u: eu[i],
-                            edge_v: ev[i],
-                            node: node[i],
-                            result,
-                            offset,
-                            count,
-                            virtual_warp: bin.width,
-                            use_texture_cache: opts.use_texture_cache,
-                            strategy: if bin.hash {
-                                IntersectStrategy::Hash
-                            } else {
-                                IntersectStrategy::ChunkScan
-                            },
-                            scratch: if bin.hash { hash_scratch } else { None },
-                            shared_slots: if bin.hash {
-                                hash_shared_slots(dev.config(), lc.threads_per_block, bin.width)
-                            } else {
-                                0
-                            },
-                        };
-                        let label = if bin.hash {
-                            "CountTrianglesWarpHash(bin stripe)"
-                        } else {
-                            "CountTrianglesWarp(bin stripe)"
-                        };
-                        dev.with_phase("count-kernel", |d| d.launch(label, lc, &kernel))?
-                    };
-                    if slowest.as_ref().is_none_or(|s| stats.time_s > s.time_s) {
-                        slowest = Some(stats);
-                    }
-                    triangles += dev.with_phase("reduce", |d| reduce_sum_u64(d, &result));
-                }
-                if i == 0 {
-                    kernel_stats = Some(slowest.unwrap_or_default());
-                }
-            }
-            _ => {
-                dev.poke(&result, &vec![0u64; total_threads]);
-                let offset = pre.m * i / devices;
-                let count = pre.m * (i + 1) / devices - offset;
-                let kernel = CountKernel {
-                    arrays: KernelArrays::SoA {
-                        nbr: nbr[i],
-                        owner: owner[i],
-                    },
-                    node: node[i],
-                    result,
-                    offset,
-                    count,
-                    variant: opts.kernel,
-                    use_texture_cache: opts.use_texture_cache,
-                };
-                let stats = dev.with_phase("count-kernel", |d| {
-                    d.launch("CountTriangles(stripe)", lc, &kernel)
-                })?;
-                if i == 0 {
-                    kernel_stats = Some(stats);
-                }
-                triangles += dev.with_phase("reduce", |d| reduce_sum_u64(d, &result));
-            }
+        let shard = Shard::alloc(
+            dev,
+            Scope::Stripe,
+            lc,
+            node[i],
+            nbr[i],
+            arrays,
+            pre.m,
+            device_plan,
+        )?;
+        let (t, slowest) = shard.count(dev, opts, (i, devices))?;
+        triangles += t;
+        if i == 0 {
+            kernel = slowest.unwrap_or_default();
         }
-        if let Some(scratch) = hash_scratch {
-            dev.free(scratch)?;
-        }
-        dev.free(result)?;
+        shard.free(dev)?;
         dev.pop_phase();
     }
 
-    let per_device_s: Vec<f64> = (0..devices)
-        .map(|i| group.device(i).elapsed() - t_before[i])
+    let per_device_s: Vec<f64> = group
+        .iter()
+        .zip(&t_before)
+        .map(|(d, t)| d.elapsed() - t)
         .collect();
     let count_s = per_device_s.iter().copied().fold(0.0, f64::max);
     let total_s = preprocess_s + count_s;
-    let traces: Vec<RunTrace> = (0..devices)
-        .map(|i| {
-            let dev = group.device(i);
-            RunTrace {
-                device_name: format!("gpu{i} ({})", dev.config().name),
-                log: dev.time_log().to_vec(),
-                spans: dev.spans().to_vec(),
-                profile: dev.profile(),
-            }
+    let traces: Vec<RunTrace> = group
+        .iter()
+        .enumerate()
+        .map(|(i, dev)| RunTrace {
+            device_name: format!("gpu{i} ({})", dev.config().name),
+            log: dev.time_log().to_vec(),
+            spans: dev.spans().to_vec(),
+            profile: dev.profile(),
         })
         .collect();
-    let per_device_reports: Vec<SanitizerReport> = (0..devices)
-        .filter_map(|i| group.device(i).sanitizer_report())
-        .collect();
-    let sanitizer = if per_device_reports.is_empty() {
-        None
-    } else {
-        Some(SanitizerReport::merged(&per_device_reports))
-    };
-    let verifier_reports: Vec<VerifierReport> = (0..devices)
-        .filter_map(|i| group.device(i).verifier_report())
-        .collect();
-    let verifier = if verifier_reports.is_empty() {
-        None
-    } else {
-        Some(VerifierReport::merged(&verifier_reports))
-    };
+    let (sanitizer, verifier) = merge_checks(
+        group
+            .iter()
+            .map(|d| (d.sanitizer_report(), d.verifier_report())),
+    );
     let report = MultiGpuReport {
         triangles,
         total_s,
@@ -289,7 +186,7 @@ pub fn run_multi_gpu_profiled(
         devices,
         used_cpu_fallback: pre.used_cpu_fallback,
         per_device_s,
-        kernel: kernel_stats.expect("at least one device"),
+        kernel,
         sanitizer,
         verifier,
     };
@@ -307,7 +204,7 @@ pub fn merged_profile(traces: &[RunTrace]) -> ProfileReport {
 mod tests {
     use super::*;
     use crate::cpu::count_forward;
-    use tc_simt::DeviceConfig;
+    use tc_simt::{DeviceConfig, LaunchConfig};
 
     fn dense_graph() -> EdgeArray {
         // Large enough that the counting kernel dominates the per-device

@@ -60,16 +60,6 @@ pub fn run_gpu_pipeline(g: &EdgeArray, opts: &GpuOptions) -> Result<GpuReport, C
     run_gpu_pipeline_profiled(g, opts).map(|(report, _)| report)
 }
 
-/// Like [`run_gpu_pipeline`] but also returns the device's operation log —
-/// feed it to [`tc_simt::trace::write_chrome_trace`] to inspect the run in
-/// `chrome://tracing` / Perfetto.
-pub fn run_gpu_pipeline_with_log(
-    g: &EdgeArray,
-    opts: &GpuOptions,
-) -> Result<(GpuReport, Vec<tc_simt::TimedOp>), CoreError> {
-    run_gpu_pipeline_profiled(g, opts).map(|(report, trace)| (report, trace.log))
-}
-
 /// Like [`run_gpu_pipeline`] but also returns the full [`RunTrace`]: leaf
 /// ops, nested phase spans, and the per-phase counter report.
 ///
@@ -189,8 +179,9 @@ mod tests {
     fn pipeline_log_covers_every_phase() {
         let g = diamond();
         let opts = GpuOptions::new(DeviceConfig::gtx_980().with_unlimited_memory());
-        let (report, log) = run_gpu_pipeline_with_log(&g, &opts).unwrap();
+        let (report, trace) = run_gpu_pipeline_profiled(&g, &opts).unwrap();
         assert_eq!(report.triangles, 2);
+        let log = trace.log;
         let labels: Vec<&str> = log.iter().map(|op| op.label.as_str()).collect();
         assert!(labels.iter().any(|l| l.contains("htod")));
         assert!(labels.iter().any(|l| l.contains("thrust::sort")));

@@ -18,18 +18,15 @@
 //! counters.
 
 use tc_graph::EdgeArray;
-use tc_simt::primitives::reduce_sum_u64;
 use tc_simt::profiler::{relative_spans, ProfileReport, RelSpan};
-use tc_simt::{Device, DeviceBuffer, KernelStats, LaunchConfig};
+use tc_simt::{Device, KernelStats};
 
 use crate::count::GpuOptions;
 use crate::error::{CoreError, ErrorContext};
-use crate::gpu::count_kernel::{CountKernel, KernelArrays};
+use crate::gpu::count_kernel::KernelArrays;
 use crate::gpu::preprocess::{free_preprocessed, preprocess_auto, Preprocessed};
-use crate::gpu::schedule::{build_plan, free_plan, BinPlan};
-use crate::gpu::warp_centric::{
-    hash_scratch_len, hash_shared_slots, IntersectStrategy, WarpCentricKernel,
-};
+use crate::gpu::schedule::{plan_preprocessed, BinPlan};
+use crate::gpu::shard::{launch_geometry, CountWindow, Scope, Shard};
 use crate::gpu::EdgeLayout;
 
 /// A graph preprocessed onto a device, ready to serve counts.
@@ -38,16 +35,12 @@ pub struct PreparedGraph {
     dev: Device,
     pre: Preprocessed,
     opts: GpuOptions,
-    lc: LaunchConfig,
-    total_threads: usize,
-    result: DeviceBuffer<u64>,
-    /// Balanced-scheduler bin plan (`None` under the default schedule, or
-    /// when the auto-tuner found the graph uniform).
-    plan: Option<BinPlan>,
-    /// Global scratch backing the hash bins' per-virtual-warp table
-    /// windows (`None` unless the plan has a hash bin). Allocated once at
-    /// prepare so repeated counts see identical addresses.
-    hash_scratch: Option<DeviceBuffer<u32>>,
+    /// The resident count state: the preprocessed arrays, the balanced
+    /// scheduler's bin plan (`None` under the default schedule, or when the
+    /// auto-tuner found the graph uniform), and the result array and hash
+    /// scratch, allocated once at prepare so repeated counts see identical
+    /// addresses.
+    shard: Shard,
     digest: u64,
     prepare_s: f64,
     /// The prepare window's phase spans on a clock-base-free nanosecond
@@ -56,21 +49,29 @@ pub struct PreparedGraph {
     counts_served: u64,
 }
 
-/// One count served from a [`PreparedGraph`]: the kernel phases only.
+/// One count served by a prepared session — a [`PreparedGraph`] or a
+/// [`super::cluster::PreparedCluster`]: the kernel phases only.
 #[derive(Clone, Debug)]
 pub struct PreparedCount {
     pub triangles: u64,
-    /// Modeled device seconds of this count (kernel + reduction).
+    /// Modeled device seconds of this count (kernel + reduction, plus the
+    /// merge messages on a cluster): the slowest shard's.
     pub count_s: f64,
-    /// Profile of the counting kernel launch.
+    /// Per-shard modeled seconds, flat device order (one entry on a single
+    /// device).
+    pub per_shard_s: Vec<f64>,
+    /// Profile of the slowest counting-kernel launch across every shard
+    /// and bin.
     pub kernel: KernelStats,
     /// Per-count profile: exactly the spans and counter deltas charged by
-    /// this count, for per-job attribution in the engine.
+    /// this count (merged across shards on a cluster), for per-job
+    /// attribution in the engine.
     pub profile: ProfileReport,
     /// The same spans on a clock-base-free nanosecond timeline (relative
-    /// to the count's first op), byte-identical no matter how many counts
-    /// the session served before — the engine's unified request traces
-    /// embed these under the request's `count` stage.
+    /// to the count's first op; shards concatenated in flat device order),
+    /// byte-identical no matter how many counts the session served before
+    /// — the engine's unified request traces embed these under the
+    /// request's `count` stage.
     pub trace: Vec<RelSpan>,
 }
 
@@ -107,18 +108,15 @@ impl PreparedGraph {
         // Likewise the static launch verifier: on when either the request
         // or the device config asks for it.
         dev.set_verifier(opts.verify || dev.config().verifier);
+        let context = |dev: &Device, phase: &str| ErrorContext {
+            device: Some(dev.config().name.to_string()),
+            phase: Some(phase.into()),
+            ..Default::default()
+        };
 
         // Launch geometry is fixed up front so preprocessing can reserve
         // room for the result array in its capacity plan.
-        let lc = opts.launch.unwrap_or_else(|| dev.config().paper_launch());
-        let lc = LaunchConfig {
-            // §III-D5: the reduced-warp trick doubles the launched threads
-            // so the active lane count stays constant.
-            blocks: lc.blocks * opts.warp_split,
-            threads_per_block: lc.threads_per_block,
-            warp_split: opts.warp_split,
-        };
-        let total_threads = lc.active_threads(dev.config().warp_size);
+        let (lc, total_threads) = launch_geometry(opts, dev.config());
 
         // ---- preprocessing phase (steps 1–8, §III-B) ----
         let keep_aos = opts.layout == EdgeLayout::AoS;
@@ -131,58 +129,38 @@ impl PreparedGraph {
             opts.reorder,
         );
         dev.pop_phase();
-        let pre = pre.map_err(|e| {
-            e.with_context(ErrorContext {
-                device: Some(dev.config().name.to_string()),
-                phase: Some("preprocess".into()),
-                ..Default::default()
-            })
-        })?;
+        let pre = pre.map_err(|e| e.with_context(context(&dev, "preprocess")))?;
 
         // ---- scheduling phase: the balanced bin plan, charged once ----
         dev.push_phase("schedule");
-        let plan = build_plan(&mut dev, &pre, opts.schedule);
+        let plan = plan_preprocessed(&mut dev, &pre, opts.schedule);
         dev.pop_phase();
-        let plan = plan.map_err(|e| {
-            e.with_context(ErrorContext {
-                device: Some(dev.config().name.to_string()),
-                phase: Some("schedule".into()),
-                ..Default::default()
-            })
-        })?;
+        let plan = plan.map_err(|e| e.with_context(context(&dev, "schedule")))?;
 
-        // The per-thread result array lives as long as the prepared graph;
-        // counts re-zero it instead of reallocating, so repeated counts
-        // see identical device addresses (and therefore identical cache
-        // statistics).
-        let result = dev.alloc::<u64>(total_threads).map_err(|e| {
-            CoreError::from(e).with_context(ErrorContext {
-                device: Some(dev.config().name.to_string()),
-                phase: Some("prepare".into()),
-                ..Default::default()
-            })
-        })?;
-
-        // Hash bins need their global table scratch (one HASH_TABLE_SLOTS
-        // window per virtual warp); sized for the widest demand across the
-        // plan's hash bins.
-        let scratch_len = plan.as_ref().and_then(|p| {
-            p.bins
-                .iter()
-                .filter(|b| b.hash && b.len > 0)
-                .map(|b| hash_scratch_len(total_threads, b.width))
-                .max()
-        });
-        let hash_scratch = match scratch_len {
-            Some(len) => Some(dev.alloc::<u32>(len).map_err(|e| {
-                CoreError::from(e).with_context(ErrorContext {
-                    device: Some(dev.config().name.to_string()),
-                    phase: Some("prepare".into()),
-                    ..Default::default()
-                })
-            })?),
-            None => None,
+        // The per-thread result array (and any hash scratch) lives as long
+        // as the prepared graph; counts re-zero it instead of reallocating,
+        // so repeated counts see identical device addresses (and therefore
+        // identical cache statistics).
+        let arrays = match opts.layout {
+            EdgeLayout::SoA => KernelArrays::SoA {
+                nbr: pre.nbr,
+                owner: pre.owner,
+            },
+            EdgeLayout::AoS => KernelArrays::AoS {
+                arcs: pre.arcs_aos.expect("AoS layout retains packed arcs"),
+            },
         };
+        let shard = Shard::alloc(
+            &mut dev,
+            Scope::Device,
+            lc,
+            pre.node,
+            pre.nbr,
+            arrays,
+            pre.m,
+            plan,
+        )
+        .map_err(|e| CoreError::from(e).with_context(context(&dev, "prepare")))?;
 
         let prepare_s = dev.elapsed() + pre.host_seconds;
         // The recycle above zeroed the clock, span list, and op log, so the
@@ -192,11 +170,7 @@ impl PreparedGraph {
             dev,
             pre,
             opts: opts.clone(),
-            lc,
-            total_threads,
-            result,
-            plan,
-            hash_scratch,
+            shard,
             digest: g.digest(),
             prepare_s,
             prepare_trace,
@@ -214,154 +188,28 @@ impl PreparedGraph {
     /// ones — and the partial reductions sum. [`PreparedCount::kernel`]
     /// then reports the slowest bin's launch (the representative stripe).
     pub fn count(&mut self) -> Result<PreparedCount, CoreError> {
-        let span_mark = self.dev.spans().len();
-        let log_mark = self.dev.time_log().len();
-        let counters0 = *self.dev.counters();
-
+        let window = CountWindow::open(&self.dev);
         self.dev.push_phase("count");
-        let counted = match self.plan.clone() {
-            None => self.count_thread_per_edge(),
-            Some(plan) => self.count_balanced(&plan),
-        };
-        let (triangles, kernel_stats) = match counted {
-            Ok(pair) => pair,
-            Err(e) => {
-                self.dev.pop_phase();
-                return Err(e.with_context(ErrorContext {
-                    device: Some(self.dev.config().name.to_string()),
-                    phase: Some("count".into()),
-                    ..Default::default()
-                }));
-            }
-        };
+        let counted = self.shard.count(&mut self.dev, &self.opts, (0, 1));
         self.dev.pop_phase();
+        let (triangles, slowest) = counted.map_err(|e| {
+            e.with_context(ErrorContext {
+                device: Some(self.dev.config().name.to_string()),
+                phase: Some("count".into()),
+                ..Default::default()
+            })
+        })?;
         self.counts_served += 1;
-
-        // Sum the modeled durations of this count's ops rather than taking
-        // an elapsed-clock delta: each duration is schedule-independent,
-        // but the clock base is not (the subtraction rounds differently as
-        // the session clock grows), and the engine promises bit-identical
-        // `count_s` no matter how many counts the session served before.
-        let count_s: f64 = self.dev.time_log()[log_mark..]
-            .iter()
-            .map(|op| op.seconds)
-            .sum();
-        let profile = ProfileReport {
-            device: self.dev.config().name.to_string(),
-            peak_bandwidth_gbs: self.dev.config().dram_bandwidth_gbs,
-            devices: 1,
-            total_s: count_s,
-            totals: self.dev.counters().delta(&counters0),
-            spans: self.dev.spans()[span_mark..].to_vec(),
-        };
-        let trace = relative_spans(self.dev.spans(), self.dev.time_log(), span_mark, log_mark);
+        let (profile, trace) = window.close(&self.dev);
         Ok(PreparedCount {
             triangles,
-            count_s,
-            kernel: kernel_stats,
+            count_s: profile.total_s,
+            per_shard_s: vec![profile.total_s],
+            // An empty plan (m = 0) still answers: zero triangles, zero stats.
+            kernel: slowest.unwrap_or_default(),
             profile,
             trace,
         })
-    }
-
-    /// The paper's single thread-per-edge launch (§III-C).
-    fn count_thread_per_edge(&mut self) -> Result<(u64, KernelStats), CoreError> {
-        self.dev.poke(&self.result, &vec![0u64; self.total_threads]);
-        let arrays = match self.opts.layout {
-            EdgeLayout::SoA => KernelArrays::SoA {
-                nbr: self.pre.nbr,
-                owner: self.pre.owner,
-            },
-            EdgeLayout::AoS => KernelArrays::AoS {
-                arcs: self.pre.arcs_aos.expect("AoS layout retains packed arcs"),
-            },
-        };
-        let kernel = CountKernel {
-            arrays,
-            node: self.pre.node,
-            result: self.result,
-            offset: 0,
-            count: self.pre.m,
-            variant: self.opts.kernel,
-            use_texture_cache: self.opts.use_texture_cache,
-        };
-        let lc = self.lc;
-        let stats = self
-            .dev
-            .with_phase("count-kernel", |d| d.launch("CountTriangles", lc, &kernel))?;
-        let result = self.result;
-        let triangles = self
-            .dev
-            .with_phase("reduce", |d| reduce_sum_u64(d, &result));
-        Ok((triangles, stats))
-    }
-
-    /// The balanced scheduler's dispatch: one launch + reduction per
-    /// occupied bin, partials summed. Returns the slowest bin's stats.
-    fn count_balanced(&mut self, plan: &BinPlan) -> Result<(u64, KernelStats), CoreError> {
-        let lc = self.lc;
-        let result = self.result;
-        let mut triangles = 0u64;
-        let mut slowest: Option<KernelStats> = None;
-        for bin in plan.occupied() {
-            self.dev.poke(&self.result, &vec![0u64; self.total_threads]);
-            let stats = if bin.width == 1 {
-                let kernel = CountKernel {
-                    arrays: KernelArrays::Gathered {
-                        eu: plan.eu,
-                        ev: plan.ev,
-                        adj: self.pre.nbr,
-                    },
-                    node: self.pre.node,
-                    result,
-                    offset: bin.start,
-                    count: bin.len,
-                    variant: self.opts.kernel,
-                    use_texture_cache: self.opts.use_texture_cache,
-                };
-                self.dev.with_phase("count-kernel", |d| {
-                    d.launch("CountTriangles(bin)", lc, &kernel)
-                })?
-            } else {
-                let kernel = WarpCentricKernel {
-                    adj: self.pre.nbr,
-                    edge_u: plan.eu,
-                    edge_v: plan.ev,
-                    node: self.pre.node,
-                    result,
-                    offset: bin.start,
-                    count: bin.len,
-                    virtual_warp: bin.width,
-                    use_texture_cache: self.opts.use_texture_cache,
-                    strategy: if bin.hash {
-                        IntersectStrategy::Hash
-                    } else {
-                        IntersectStrategy::ChunkScan
-                    },
-                    scratch: if bin.hash { self.hash_scratch } else { None },
-                    shared_slots: if bin.hash {
-                        hash_shared_slots(self.dev.config(), lc.threads_per_block, bin.width)
-                    } else {
-                        0
-                    },
-                };
-                let label = if bin.hash {
-                    "CountTrianglesWarpHash(bin)"
-                } else {
-                    "CountTrianglesWarp(bin)"
-                };
-                self.dev
-                    .with_phase("count-kernel", |d| d.launch(label, lc, &kernel))?
-            };
-            triangles += self
-                .dev
-                .with_phase("reduce", |d| reduce_sum_u64(d, &result));
-            if slowest.as_ref().is_none_or(|s| stats.time_s > s.time_s) {
-                slowest = Some(stats);
-            }
-        }
-        // An empty plan (m = 0) still answers: zero triangles, zero stats.
-        Ok((triangles, slowest.unwrap_or_default()))
     }
 
     /// Free every device buffer this prepared graph holds and hand the
@@ -369,13 +217,7 @@ impl PreparedGraph {
     /// charge no simulated time, matching the paper's protocol where the
     /// measured window ends at the free.
     pub fn release(mut self) -> Result<Device, CoreError> {
-        if let Some(plan) = self.plan.take() {
-            free_plan(&mut self.dev, &plan)?;
-        }
-        if let Some(scratch) = self.hash_scratch.take() {
-            self.dev.free(scratch)?;
-        }
-        self.dev.free(self.result)?;
+        self.shard.free(&mut self.dev)?;
         free_preprocessed(&mut self.dev, &self.pre)?;
         Ok(self.dev)
     }
@@ -440,7 +282,7 @@ impl PreparedGraph {
     /// the default schedule or when the auto-tuner found the graph uniform).
     #[inline]
     pub fn bin_plan(&self) -> Option<&BinPlan> {
-        self.plan.as_ref()
+        self.shard.plan.as_ref()
     }
 
     /// The underlying device (for reports, traces, and memory stats).

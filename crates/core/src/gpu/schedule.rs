@@ -371,7 +371,7 @@ pub fn auto_bin_specs_hash(work: &[u32]) -> Option<Vec<BinSpec>> {
 }
 
 /// Bin specs for a schedule, or `None` when no plan should be built.
-pub(crate) fn bin_specs(schedule: KernelSchedule, work: &[u32]) -> Option<Vec<BinSpec>> {
+fn bin_specs(schedule: KernelSchedule, work: &[u32]) -> Option<Vec<BinSpec>> {
     match schedule {
         KernelSchedule::ThreadPerEdge => None,
         KernelSchedule::Balanced => auto_bin_specs(work),
@@ -396,8 +396,24 @@ pub(crate) fn bin_specs(schedule: KernelSchedule, work: &[u32]) -> Option<Vec<Bi
     }
 }
 
-/// Build the device-resident [`BinPlan`] for a preprocessed graph, or
-/// `None` when the schedule needs none. Every data movement is charged:
+/// [`build_plan`] over a preprocessed graph's oriented CSR. The host
+/// mirror is a free *planning* read (the tuner is host code, like every
+/// launch-geometry decision); the builder's charged passes do the actual
+/// device data movement.
+pub(crate) fn plan_preprocessed(
+    dev: &mut Device,
+    pre: &Preprocessed,
+    schedule: KernelSchedule,
+) -> Result<Option<BinPlan>, CoreError> {
+    let owner = dev.peek(&pre.owner);
+    let nbr = dev.peek(&pre.nbr);
+    let work = edge_work(&owner, &nbr, &dev.peek(&pre.node));
+    build_plan(dev, &owner, &nbr, &work, schedule)
+}
+
+/// Build the device-resident [`BinPlan`] for the edges `(eu[i], ev[i])`
+/// with per-edge work estimates `work`, or `None` when the schedule needs
+/// none. Every data movement is charged:
 ///
 /// 1. a work-estimate pass reads the edge endpoints and their four node
 ///    cells and writes packed `(work << 32) | edge` keys;
@@ -411,18 +427,13 @@ pub(crate) fn bin_specs(schedule: KernelSchedule, work: &[u32]) -> Option<Vec<Bi
 /// needed to find them.
 pub(crate) fn build_plan(
     dev: &mut Device,
-    pre: &Preprocessed,
+    eu: &[u32],
+    ev: &[u32],
+    work: &[u32],
     schedule: KernelSchedule,
 ) -> Result<Option<BinPlan>, CoreError> {
-    let m = pre.m;
-    // Host mirror of the oriented CSR: free *planning* reads (the tuner is
-    // host code, like every launch-geometry decision); the charged passes
-    // below do the actual device data movement.
-    let owner = dev.peek(&pre.owner);
-    let nbr = dev.peek(&pre.nbr);
-    let node = dev.peek(&pre.node);
-    let work = edge_work(&owner, &nbr, &node);
-    let Some(specs) = bin_specs(schedule, &work) else {
+    let m = work.len();
+    let Some(specs) = bin_specs(schedule, work) else {
         return Ok(None);
     };
     for spec in &specs {
@@ -444,32 +455,30 @@ pub(crate) fn build_plan(
         .map(|(i, &w)| ((w as u64) << 32) | i as u64)
         .collect();
     dev.poke(&keys, &host_keys);
-    // The binning passes bill to named sub-phases of the caller's
-    // `schedule` phase: `repro profile` must attribute this overhead to
-    // scheduling, not fold it into whichever span is otherwise open.
+    // Passes 1 and 2 bill to one `bin-sort` sub-phase of the caller's
+    // `schedule` phase (pass 3 to `bin-gather`): `repro profile` must
+    // attribute this overhead to scheduling, not fold it into whichever
+    // span is otherwise open. Pass 2 radix sorts by (work, edge index) —
+    // the stable tiebreak keeps the plan independent of anything but the
+    // graph.
     dev.with_phase("bin-sort", |d| {
-        charge_transform_pass(d, "schedule: work-estimate keys", mb * 24, mb * 8)
-    });
-
-    // Pass 2: radix sort by (work, edge index) — the stable tiebreak keeps
-    // the plan independent of anything but the graph.
-    dev.with_phase("bin-sort", |d| sort_u64(d, &keys, m))?;
+        charge_transform_pass(d, "schedule: work-estimate keys", mb * 24, mb * 8);
+        sort_u64(d, &keys, m)
+    })?;
     host_keys.sort_unstable();
 
     // Pass 3: gather the bin-ordered endpoint arrays. Reads the sorted
     // keys (8 B) plus two scattered endpoint loads (8 B), writes 8 B.
-    let eu = dev.alloc::<u32>(m)?;
-    let ev = dev.alloc::<u32>(m)?;
-    let gathered_u: Vec<u32> = host_keys
-        .iter()
-        .map(|&k| owner[(k & 0xffff_ffff) as usize])
-        .collect();
-    let gathered_v: Vec<u32> = host_keys
-        .iter()
-        .map(|&k| nbr[(k & 0xffff_ffff) as usize])
-        .collect();
-    dev.poke(&eu, &gathered_u);
-    dev.poke(&ev, &gathered_v);
+    let gathered_eu = dev.alloc::<u32>(m)?;
+    let gathered_ev = dev.alloc::<u32>(m)?;
+    let gather = |src: &[u32]| -> Vec<u32> {
+        host_keys
+            .iter()
+            .map(|&k| src[(k & 0xffff_ffff) as usize])
+            .collect()
+    };
+    dev.poke(&gathered_eu, &gather(eu));
+    dev.poke(&gathered_ev, &gather(ev));
     dev.with_phase("bin-gather", |d| {
         charge_transform_pass(d, "schedule: bin gather", mb * 16, mb * 8)
     });
@@ -494,7 +503,11 @@ pub(crate) fn build_plan(
         start = end;
     }
     debug_assert_eq!(start, m, "bins must cover every edge");
-    Ok(Some(BinPlan { eu, ev, bins }))
+    Ok(Some(BinPlan {
+        eu: gathered_eu,
+        ev: gathered_ev,
+        bins,
+    }))
 }
 
 /// Free the plan's device buffers.
@@ -622,6 +635,49 @@ mod tests {
                 threshold: 9,
                 width: 1
             })
+        );
+    }
+
+    #[test]
+    fn bin_sort_is_one_span_of_the_key_pass_and_the_sort() {
+        use crate::gpu::prepared::PreparedGraph;
+        use crate::GpuOptions;
+        use tc_graph::EdgeArray;
+        use tc_simt::DeviceConfig;
+
+        // A dense core: mean work far above the gate, so a plan is built.
+        let mut pairs = Vec::new();
+        for a in 0..48u32 {
+            for b in (a + 1)..48 {
+                if (a + 2 * b) % 5 != 0 {
+                    pairs.push((a, b));
+                }
+            }
+        }
+        let g = EdgeArray::from_undirected_pairs(pairs);
+        let opts = GpuOptions::balanced(DeviceConfig::gtx_980().with_unlimited_memory());
+        let prepared = PreparedGraph::prepare(&g, &opts).unwrap();
+        assert!(prepared.bin_plan().is_some(), "the tuner must plan");
+        let profile = prepared.device().profile();
+        let spans: Vec<_> = profile
+            .spans
+            .iter()
+            .filter(|s| s.path == "schedule/bin-sort")
+            .collect();
+        assert_eq!(spans.len(), 1, "bin-sort is one phase, found by span()");
+        let span = profile.span("schedule/bin-sort").unwrap();
+        let ops = &prepared.device().time_log()[span.first_op..span.end_op];
+        assert_eq!(ops[0].label, "schedule: work-estimate keys");
+        assert!(
+            ops[1..].iter().all(|op| op.label.contains("sort")),
+            "{ops:?}"
+        );
+        // Equal up to the rounding of the span's clock subtraction.
+        let summed: f64 = ops.iter().map(|op| op.seconds).sum();
+        assert!(
+            (span.duration_s() - summed).abs() <= 1e-12 * summed,
+            "span {} s vs ops {summed} s",
+            span.duration_s()
         );
     }
 

@@ -27,6 +27,7 @@ use tc_simt::{SanitizerReport, VerifierReport};
 use crate::count::GpuOptions;
 use crate::error::CoreError;
 use crate::gpu::pipeline::run_gpu_pipeline;
+use crate::gpu::shard::merge_checks;
 
 /// Outcome of a split run.
 #[derive(Clone, Debug)]
@@ -93,8 +94,7 @@ pub fn count_split(
     let mut total_s = 0.0;
     let mut subproblems = 0usize;
     let mut max_arcs = 0usize;
-    let mut sub_reports: Vec<SanitizerReport> = Vec::new();
-    let mut sub_verifier: Vec<VerifierReport> = Vec::new();
+    let mut checks = Vec::new();
     let mut run = |keep: &[usize]| -> Result<u64, CoreError> {
         let sub = induced(g, n, parts, keep);
         max_arcs = max_arcs.max(sub.num_arcs());
@@ -104,8 +104,7 @@ pub fn count_split(
         }
         let r = run_gpu_pipeline(&sub, opts)?;
         total_s += r.total_s;
-        sub_reports.extend(r.sanitizer);
-        sub_verifier.extend(r.verifier);
+        checks.push((r.sanitizer, r.verifier));
         Ok(r.triangles)
     };
 
@@ -136,16 +135,7 @@ pub fn count_split(
     } else {
         0
     };
-    let sanitizer = if sub_reports.is_empty() {
-        None
-    } else {
-        Some(SanitizerReport::merged(&sub_reports))
-    };
-    let verifier = if sub_verifier.is_empty() {
-        None
-    } else {
-        Some(VerifierReport::merged(&sub_verifier))
-    };
+    let (sanitizer, verifier) = merge_checks(checks);
     Ok(SplitReport {
         triangles: n1 + n2 + n3,
         total_s,

@@ -58,7 +58,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use tc_core::gpu::prepared::PreparedGraph;
-use tc_core::{Backend, CountRequest, GpuOptions, PreparedCluster};
+use tc_core::{Backend, CountRequest, PreparedCluster, PreparedCount};
 use tc_graph::EdgeArray;
 use tc_simt::profiler::{ProfileReport, RelSpan};
 use tc_simt::{ClusterTopology, DevicePool, PoolTicket};
@@ -186,6 +186,31 @@ pub struct JobResult {
     pub prepare_trace: Vec<RelSpan>,
     /// Count-window kernel spans on the same kind of timeline.
     pub kernel_trace: Vec<RelSpan>,
+}
+
+impl JobResult {
+    /// A modeled count served by a prepared session. `prepared` is the
+    /// prepare cost and trace this job paid; `None` is a cache hit, which
+    /// paid none.
+    fn counted(
+        counted: PreparedCount,
+        prepared: Option<(f64, Vec<RelSpan>)>,
+        profile: bool,
+    ) -> JobResult {
+        let cache_hit = prepared.is_none();
+        let (prepare_s, prepare_trace) = prepared.unwrap_or_default();
+        JobResult {
+            triangles: counted.triangles,
+            seconds: prepare_s + counted.count_s,
+            prepare_s,
+            count_s: counted.count_s,
+            cache_hit,
+            modeled: true,
+            profile: profile.then_some(counted.profile),
+            prepare_trace,
+            kernel_trace: counted.trace,
+        }
+    }
 }
 
 /// One job's slot in the batch report.
@@ -819,137 +844,78 @@ impl Engine {
         // The prepare is charged to the first-occurrence job from the
         // plan, not to whichever worker happened to run it first: the
         // modeled prepare cost is deterministic, so the report is too.
-        match entry.as_mut().expect("just prepared") {
-            CacheEntry::Single { prepared, .. } => {
-                let counted = prepared.count().map_err(EngineError::Count)?;
-                let prepare_s = if hit { 0.0 } else { prepared.prepare_s() };
-                let prepare_trace = if hit {
-                    Vec::new()
-                } else {
-                    prepared.prepare_trace().to_vec()
-                };
-                Ok(JobResult {
-                    triangles: counted.triangles,
-                    seconds: prepare_s + counted.count_s,
-                    prepare_s,
-                    count_s: counted.count_s,
-                    cache_hit: hit,
-                    modeled: true,
-                    profile: job.profile.then_some(counted.profile),
-                    prepare_trace,
-                    kernel_trace: counted.trace,
-                })
-            }
-            CacheEntry::Cluster { prepared } => {
-                let counted = prepared.count().map_err(EngineError::Count)?;
-                let prepare_s = if hit { 0.0 } else { prepared.prepare_s() };
-                let prepare_trace = if hit {
-                    Vec::new()
-                } else {
-                    prepared.prepare_trace().to_vec()
-                };
-                Ok(JobResult {
-                    triangles: counted.triangles,
-                    seconds: prepare_s + counted.count_s,
-                    prepare_s,
-                    count_s: counted.count_s,
-                    cache_hit: hit,
-                    modeled: true,
-                    profile: job.profile.then_some(counted.profile),
-                    prepare_trace,
-                    kernel_trace: counted.trace,
-                })
-            }
-        }
+        let (counted, prepare_s, prepare_trace) = match entry.as_mut().expect("just prepared") {
+            CacheEntry::Single { prepared, .. } => (
+                prepared.count(),
+                prepared.prepare_s(),
+                prepared.prepare_trace(),
+            ),
+            CacheEntry::Cluster { prepared } => (
+                prepared.count(),
+                prepared.prepare_s(),
+                prepared.prepare_trace(),
+            ),
+        };
+        let counted = counted.map_err(EngineError::Count)?;
+        let prepared = (!hit).then(|| (prepare_s, prepare_trace.to_vec()));
+        Ok(JobResult::counted(counted, prepared, job.profile))
     }
 
     fn run_oneshot(&self, job: &Job) -> Result<JobResult, EngineError> {
-        if let Backend::Cluster {
-            options,
-            nodes,
-            devices_per_node,
-            partition,
-        } = &job.backend
-        {
-            // Uncached cluster job (overflow beyond `cache_capacity`): a
-            // full shard/count/release session on a transient cluster.
-            let topology = ClusterTopology::new(*nodes, *devices_per_node);
-            let mut prepared = PreparedCluster::prepare(&job.graph, options, topology, *partition)
-                .map_err(EngineError::Count)?;
-            let prepare_s = prepared.prepare_s();
-            let prepare_trace = prepared.prepare_trace().to_vec();
-            let counted = prepared.count().map_err(EngineError::Count)?;
-            prepared.release().map_err(EngineError::Count)?;
-            return Ok(JobResult {
-                triangles: counted.triangles,
-                seconds: prepare_s + counted.count_s,
-                prepare_s,
-                count_s: counted.count_s,
-                cache_hit: false,
-                modeled: true,
-                profile: job.profile.then_some(counted.profile),
-                prepare_trace,
-                kernel_trace: counted.trace,
-            });
-        }
-        if let Backend::Gpu(opts) = &job.backend {
-            // Uncached GPU job: full prepare+count+release session on a
-            // pooled (warm) device.
-            let lease = self.pool.acquire(&opts.device);
-            let (device, ticket) = lease.detach();
-            let outcome = Self::oneshot_session(device, &job.graph, opts, job.profile);
-            match outcome {
-                Ok((result, device)) => {
-                    ticket.restore(device);
-                    Ok(result)
-                }
-                Err(e) => Err(EngineError::Count(e)),
+        match &job.backend {
+            Backend::Cluster {
+                options,
+                nodes,
+                devices_per_node,
+                partition,
+            } => {
+                // Uncached cluster job (overflow beyond `cache_capacity`): a
+                // full shard/count/release session on a transient cluster.
+                let topology = ClusterTopology::new(*nodes, *devices_per_node);
+                let mut prepared =
+                    PreparedCluster::prepare(&job.graph, options, topology, *partition)
+                        .map_err(EngineError::Count)?;
+                let counted = prepared.count().map_err(EngineError::Count)?;
+                let paid = Some((prepared.prepare_s(), prepared.prepare_trace().to_vec()));
+                let result = JobResult::counted(counted, paid, job.profile);
+                prepared.release().map_err(EngineError::Count)?;
+                Ok(result)
             }
-        } else {
-            let r = CountRequest::new(job.backend.clone())
-                .profile(job.profile)
-                .graph_name(&job.name)
-                .run(&job.graph)
-                .map_err(EngineError::Count)?;
-            Ok(JobResult {
-                triangles: r.triangles,
-                seconds: r.seconds,
-                prepare_s: r.gpu.as_ref().map_or(0.0, |g| g.preprocess_s),
-                count_s: r.gpu.as_ref().map_or(r.seconds, |g| g.count_s),
-                cache_hit: false,
-                modeled: job.backend.is_modeled(),
-                profile: r.profile,
-                prepare_trace: Vec::new(),
-                kernel_trace: Vec::new(),
-            })
+            Backend::Gpu(opts) => {
+                // Uncached GPU job: full prepare+count+release session on a
+                // pooled (warm) device.
+                let lease = self.pool.acquire(&opts.device);
+                let (device, ticket) = lease.detach();
+                let session = || -> Result<(JobResult, tc_simt::Device), tc_core::CoreError> {
+                    let mut prepared = PreparedGraph::prepare_on(device, &job.graph, opts)?;
+                    let counted = prepared.count()?;
+                    let paid = Some((prepared.prepare_s(), prepared.prepare_trace().to_vec()));
+                    let result = JobResult::counted(counted, paid, job.profile);
+                    Ok((result, prepared.release()?))
+                };
+                let (result, device) = session().map_err(EngineError::Count)?;
+                ticket.restore(device);
+                Ok(result)
+            }
+            _ => {
+                let r = CountRequest::new(job.backend.clone())
+                    .profile(job.profile)
+                    .graph_name(&job.name)
+                    .run(&job.graph)
+                    .map_err(EngineError::Count)?;
+                Ok(JobResult {
+                    triangles: r.triangles,
+                    seconds: r.seconds,
+                    prepare_s: r.gpu.as_ref().map_or(0.0, |g| g.preprocess_s),
+                    count_s: r.gpu.as_ref().map_or(r.seconds, |g| g.count_s),
+                    cache_hit: false,
+                    modeled: job.backend.is_modeled(),
+                    profile: r.profile,
+                    prepare_trace: Vec::new(),
+                    kernel_trace: Vec::new(),
+                })
+            }
         }
-    }
-
-    fn oneshot_session(
-        device: tc_simt::Device,
-        graph: &EdgeArray,
-        opts: &GpuOptions,
-        profile: bool,
-    ) -> Result<(JobResult, tc_simt::Device), tc_core::CoreError> {
-        let mut prepared = PreparedGraph::prepare_on(device, graph, opts)?;
-        let prepare_s = prepared.prepare_s();
-        let prepare_trace = prepared.prepare_trace().to_vec();
-        let counted = prepared.count()?;
-        let device = prepared.release()?;
-        Ok((
-            JobResult {
-                triangles: counted.triangles,
-                seconds: prepare_s + counted.count_s,
-                prepare_s,
-                count_s: counted.count_s,
-                cache_hit: false,
-                modeled: true,
-                profile: profile.then_some(counted.profile),
-                prepare_trace,
-                kernel_trace: counted.trace,
-            },
-            device,
-        ))
     }
 
     /// Release every prepared session, returning its warm device to the
@@ -1025,6 +991,7 @@ fn json_f64(x: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tc_core::GpuOptions;
     use tc_simt::DeviceConfig;
 
     fn diamond() -> Arc<EdgeArray> {

@@ -1,8 +1,8 @@
 //! Simulated multi-node clusters: topology + interconnect cost model.
 //!
-//! The paper's multi-GPU scheme ([`crate::multi`]) lives inside one host:
-//! every device hangs off the same PCIe root and the whole graph is
-//! broadcast to each card. A cluster generalizes that to N *nodes* of M
+//! The paper's multi-GPU scheme (§III-E) lives inside one host: every
+//! device hangs off the same PCIe root and the whole graph is broadcast to
+//! each card — a 1×N cluster. A cluster generalizes that to N *nodes* of M
 //! devices each, joined by a network interconnect that is slower than
 //! PCIe and pays a per-message latency. [`Cluster`] models exactly that
 //! seam: uploads to a device on node 0 (where the host data lives) cost
@@ -93,8 +93,7 @@ impl ClusterTopology {
 /// Host data (graph shards) is assumed resident on node 0; an upload to a
 /// device on another node first pays the interconnect transfer, then the
 /// target's PCIe copy. Per-device clocks advance independently — the
-/// cluster's wall clock is [`Cluster::elapsed_max`], exactly like
-/// [`crate::multi::DeviceGroup`].
+/// cluster's wall clock is [`Cluster::elapsed_max`].
 #[derive(Debug)]
 pub struct Cluster {
     topology: ClusterTopology,
@@ -180,6 +179,28 @@ impl Cluster {
             "internode: shard send",
         );
         self.devices[device].htod_copy(data)
+    }
+
+    /// Copy `buf` on device `from` to every other device. Returns one buffer
+    /// handle per device (`result[from]` is the original). Transfers to
+    /// distinct devices ride distinct PCIe links, so each target is charged
+    /// its own copy time — plus the interconnect when it lives off node 0,
+    /// like [`Cluster::htod_scatter`].
+    pub fn broadcast<T: DeviceScalar>(
+        &mut self,
+        from: usize,
+        buf: &DeviceBuffer<T>,
+    ) -> Result<Vec<DeviceBuffer<T>>, SimtError> {
+        let data = self.devices[from].peek(buf);
+        let mut out = Vec::with_capacity(self.devices.len());
+        for i in 0..self.devices.len() {
+            if i == from {
+                out.push(*buf);
+            } else {
+                out.push(self.htod_scatter(i, &data)?);
+            }
+        }
+        Ok(out)
     }
 
     /// Charge the interconnect cost of moving `bytes` to/from `device`'s
@@ -272,6 +293,41 @@ mod tests {
             (0..4).map(|i| c.device(i).elapsed()).collect::<Vec<f64>>()
         };
         assert_eq!(run(), run());
+    }
+
+    #[test]
+    fn broadcast_replicates_data() {
+        let cfg = DeviceConfig::tesla_c2050().with_unlimited_memory();
+        let mut group =
+            Cluster::homogeneous(ClusterTopology::new(1, 4), Interconnect::default(), &cfg);
+        group.preinit_all();
+        group.reset_clocks();
+        let data: Vec<u32> = (0..256).collect();
+        let src = group.device_mut(0).htod_copy(&data).unwrap();
+        let bufs = group.broadcast(0, &src).unwrap();
+        assert_eq!(bufs.len(), 4);
+        for (i, b) in bufs.iter().enumerate() {
+            assert_eq!(group.device(i).peek(b), data, "device {i}");
+        }
+        // Targets were charged copy time; the source only its own upload.
+        assert!(group.device(1).elapsed() > 0.0);
+        assert!(group.elapsed_max() >= group.device(0).elapsed());
+    }
+
+    #[test]
+    fn broadcast_propagates_oom() {
+        let cfg = DeviceConfig::tesla_c2050().with_memory_capacity(1536);
+        let mut group =
+            Cluster::homogeneous(ClusterTopology::new(1, 2), Interconnect::default(), &cfg);
+        group.preinit_all();
+        // The target already holds 1 KiB, so the 1 KiB copy cannot fit.
+        group.device_mut(1).alloc::<u32>(256).unwrap();
+        let data: Vec<u32> = (0..256).collect();
+        let src = group.device_mut(0).htod_copy(&data).unwrap();
+        assert!(matches!(
+            group.broadcast(0, &src),
+            Err(SimtError::OutOfMemory { .. })
+        ));
     }
 
     #[test]

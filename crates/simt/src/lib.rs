@@ -29,7 +29,8 @@
 //!   access contracts in-bounds and race-free before a launch runs.
 //! * **Clusters**: a multi-node topology with a latency + bandwidth
 //!   interconnect cost model ([`cluster`]) layered on the per-node PCIe
-//!   model, for the sharded engine in `tc-engine`.
+//!   model, for the sharded engine in `tc-engine`; a 1×N cluster is the
+//!   paper's single-host multi-GPU rig (§III-E).
 //!
 //! Simulated time is deterministic: the same kernel on the same device
 //! preset always reports the same cycle count, cache hit rate, and DRAM
@@ -46,7 +47,6 @@ pub mod device;
 pub mod error;
 pub mod executor;
 pub mod kernel;
-pub mod multi;
 pub mod pool;
 pub mod primitives;
 pub mod profiler;
@@ -63,7 +63,6 @@ pub use device::{Device, TimedOp};
 pub use error::SimtError;
 pub use executor::{KernelStats, LaunchConfig};
 pub use kernel::{Effect, Kernel, Lane, MemView};
-pub use multi::DeviceGroup;
 pub use pool::{DeviceLease, DevicePool, PoolTicket};
 pub use profiler::{Counters, ProfileReport, Span};
 pub use sanitizer::{Finding, FindingKind, Lint, LintKind, SanitizerMode, SanitizerReport};

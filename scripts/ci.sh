@@ -174,6 +174,14 @@ echo "==> static verifier gate"
 ./target/release/tcount suite:dblp --backend gtx980/balanced+hash/verify > /dev/null
 ./target/release/tcount suite:citeseer --backend gtx980/balanced+hash/reorder/sanitize:paranoid/verify > /dev/null
 
+echo "==> checked multi-device gate"
+# The same sanitizer + verifier gate on the other three callers of the
+# shard executor: binned multi-GPU stripes, a binned hash split, and a
+# binned hash cluster. tcount exits nonzero on any finding.
+./target/release/tcount suite:dblp --backend 2xc2050/balanced/sanitize/verify > /dev/null
+./target/release/tcount suite:dblp --backend gtx980/split:3/balanced+hash/sanitize/verify > /dev/null
+./target/release/tcount suite:kronecker-8 --backend cluster:2x2/gtx980/balanced+hash/sanitize/verify > /dev/null
+
 echo "==> verifier seeded-lie self-test"
 # Mirror image of the gate above: kernels whose contracts *lie* (footprint
 # too narrow, false disjointness claim, understated shared budget,
